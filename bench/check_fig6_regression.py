@@ -103,7 +103,9 @@ def main():
     # mode and pricing rule are protocol too: the dual path is gated
     # against a dual reference, never against the phase-1 walk (old
     # snapshots predate the fields and default to the historical
-    # phase1/dantzig configuration).
+    # phase1/dantzig configuration; fresh runs omit "pricing", since
+    # Dantzig is the only rule left, while older snapshots may name a
+    # since-removed rule).
     for key, default in (("per_solve_limit_s", None),
                          ("max_nodes_per_solve", None),
                          ("reentry", "phase1"),

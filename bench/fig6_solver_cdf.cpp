@@ -13,7 +13,6 @@
 //
 // Usage: bench_fig6_solver_cdf [--engine={auto,dense,lu}] [--threads=K]
 //                              [--reentry={phase1,dual}]
-//                              [--pricing={dantzig,devex,dse}]
 //                              [runs] [per_solve_limit_s] [max_nodes]
 //                              [mode]
 //   --engine   basis factorization engine for the node LPs: "dense"
@@ -26,9 +25,6 @@
 //              historical walk) or "dual" (dual simplex from the still
 //              dual-feasible parent basis, phase-1 fallback on
 //              failure). Per-run re-entry telemetry lands in the JSON.
-//   --pricing  simplex pricing rule: "dantzig" (default; most-negative
-//              reduced cost), "devex" (reference-framework weights) or
-//              "dse" (dual steepest edge rows, Dantzig columns).
 //   --threads  branch-and-bound workers per solve (default 1; 0 =
 //              hardware concurrency). The determinism contract holds
 //              at any K — identical objectives and proof outcomes —
@@ -58,7 +54,6 @@ int main(int argc, char** argv) {
   bool engine_given = false;
   ilp::BasisEngineKind engine = ilp::BasisEngineKind::kAuto;
   ilp::ReentryKind reentry = ilp::ReentryKind::kPhase1;
-  ilp::PricingKind pricing = ilp::PricingKind::kDantzig;
   std::size_t threads = 1;
   std::vector<const char*> pos;
   for (int a = 1; a < argc; ++a) {
@@ -75,20 +70,6 @@ int main(int argc, char** argv) {
                      "unknown reentry '%s' (expected phase1, dual)\n", v);
         return 1;
       }
-    } else if (std::strncmp(argv[a], "--pricing=", 10) == 0) {
-      const char* v = argv[a] + 10;
-      if (std::strcmp(v, "dantzig") == 0) {
-        pricing = ilp::PricingKind::kDantzig;
-      } else if (std::strcmp(v, "devex") == 0) {
-        pricing = ilp::PricingKind::kDevex;
-      } else if (std::strcmp(v, "dse") == 0) {
-        pricing = ilp::PricingKind::kDse;
-      } else {
-        std::fprintf(stderr,
-                     "unknown pricing '%s' (expected dantzig, devex, dse)\n",
-                     v);
-        return 1;
-      }
     } else if (std::strncmp(argv[a], "--engine=", 9) == 0) {
       const char* v = argv[a] + 9;
       if (std::strcmp(v, "dense") == 0) {
@@ -103,6 +84,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       engine_given = true;
+    } else if (std::strncmp(argv[a], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[a]);
+      return 1;
     } else {
       pos.push_back(argv[a]);
     }
@@ -182,7 +166,6 @@ int main(int argc, char** argv) {
     opts.mip.time_limit_s = per_solve_limit_s;
     opts.mip.lp.engine = engine;
     opts.mip.lp.reentry = reentry;
-    opts.mip.lp.pricing = pricing;
     opts.mip.threads = threads;
     if (max_nodes > 0) opts.mip.max_nodes = max_nodes;
     if (seed_solver) {
@@ -281,10 +264,10 @@ int main(int argc, char** argv) {
   std::printf("basis engine: %zu refactorizations, %zu eta updates, "
               "eta-file peak %zu\n",
               total_refacs, total_etas, eta_len_peak);
-  std::printf("re-entry (%s, %s pricing): %zu dual re-entries, %zu "
+  std::printf("re-entry (%s): %zu dual re-entries, %zu "
               "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
               "primal / %zu dual\n",
-              ilp::reentry_name(reentry), ilp::pricing_name(pricing),
+              ilp::reentry_name(reentry),
               total_dual_reentries, total_phase1_reentries, total_fallbacks,
               total_primal_pivots, total_dual_pivots);
   if (threads_used > 1) {
@@ -300,7 +283,6 @@ int main(int argc, char** argv) {
   j.set("mode", std::string(seed_solver ? "seed" : "warm"));
   j.set("engine", std::string(engine_ran));
   j.set("reentry", std::string(ilp::reentry_name(reentry)));
-  j.set("pricing", std::string(ilp::pricing_name(pricing)));
   j.set("threads", threads_used);
   j.set("runs", runs);
   j.set("per_solve_limit_s", per_solve_limit_s);

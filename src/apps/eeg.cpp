@@ -5,6 +5,7 @@
 #include <string>
 
 #include "dsp/fir.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/svm.hpp"
 #include "dsp/wavelet.hpp"
 #include "graph/builder.hpp"
@@ -78,13 +79,17 @@ class WindowOp final : public OperatorImpl {
   }
 };
 
-/// Per-electrode calibration gain.
+/// Per-electrode calibration gain. Like FIR and Add below, it emits an
+/// int16 stream and so rounds its output by graph::round_int16: the
+/// values are then the same whether or not a cut puts the stream on
+/// the radio.
 class PreGainOp final : public OperatorImpl {
  public:
   explicit PreGainOp(float gain) : gain_(gain) {}
   void process(std::size_t, const Frame& in, Context& ctx) override {
     std::vector<float> out = ctx.get_buffer(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) out[i] = gain_ * in[i];
+    dsp::simd::scale(in.samples().data(), gain_, out.data(), in.size());
+    dsp::simd::round_int16(out.data(), out.size());
     if (auto* m = ctx.cost_meter()) {
       m->charge_float(in.size());
       m->charge_mem(8 * in.size());
@@ -132,6 +137,7 @@ class FirOp final : public OperatorImpl {
     std::vector<float> out = ctx.get_buffer(in.size());
     fir_.process_into(dsp::SignalView(in.samples()),
                       dsp::MutSignalView(out), ctx.cost_meter());
+    dsp::simd::round_int16(out.data(), out.size());
     ctx.emit(Frame(std::move(out), Encoding::kInt16));
   }
   [[nodiscard]] std::unique_ptr<OperatorImpl> clone() const override {
@@ -157,6 +163,7 @@ class AddOp final : public OperatorImpl {
       std::vector<float> out = ctx.get_buffer(std::min(a.size(), b.size()));
       dsp::add_frames_into(dsp::SignalView(a), dsp::SignalView(b),
                            dsp::MutSignalView(out), m);
+      dsp::simd::round_int16(out.data(), out.size());
       pending_[0].pop();
       pending_[1].pop();
       ctx.emit(Frame(std::move(out), Encoding::kInt16));

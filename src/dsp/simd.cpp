@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cmath>
 
+#include "graph/frame.hpp"
+
 #if !defined(WISHBONE_SIMD_DISABLED)
 #if defined(__x86_64__) || defined(__i386__)
 #define WISHBONE_SIMD_X86 1
@@ -49,6 +51,10 @@ void add_scalar(const float* a, const float* b, float* y, std::size_t n) {
 
 void axpy_scalar(float a, const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+void round_int16_scalar(float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = graph::round_int16(y[i]);
 }
 
 float sum_abs_scalar(const float* x, std::size_t n) {
@@ -116,6 +122,7 @@ struct Kernels {
   void (*mul)(const float*, const float*, float*, std::size_t);
   void (*add)(const float*, const float*, float*, std::size_t);
   void (*axpy)(float, const float*, float*, std::size_t);
+  void (*round_int16)(float*, std::size_t);
   float (*sum_abs)(const float*, std::size_t);
   float (*sum_sq)(const float*, std::size_t);
   void (*fir_conv)(const float*, const float*, std::size_t, float*,
@@ -131,7 +138,7 @@ struct Kernels {
 
 constexpr Kernels kScalar = {
     dot_scalar,     scale_scalar,  mul_scalar,
-    add_scalar,     axpy_scalar,   sum_abs_scalar,
+    add_scalar,     axpy_scalar,   round_int16_scalar, sum_abs_scalar,
     sum_sq_scalar,  fir_conv_scalar, complex_butterfly_scalar,
     fft_pass_scalar, banded_dot_scalar, matvec_scalar,
     "scalar"};
@@ -192,6 +199,21 @@ void axpy_sse2(float a, const float* x, float* y, std::size_t n) {
                                     _mm_mul_ps(va, _mm_loadu_ps(x + i))));
   }
   for (; i < n; ++i) y[i] += a * x[i];
+}
+
+// max_ps(lo, r) is lo > r ? lo : r and min_ps(hi, v) is hi < v ? hi : v,
+// the scalar rule's selects operand for operand (a NaN passes through
+// both, as in the scalar rule).
+void round_int16_sse2(float* y, std::size_t n) {
+  const __m128 bias = _mm_set1_ps(graph::kInt16RoundBias);
+  const __m128 lo = _mm_set1_ps(-32768.0f);
+  const __m128 hi = _mm_set1_ps(32767.0f);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m128 r = _mm_sub_ps(_mm_add_ps(_mm_loadu_ps(y + i), bias), bias);
+    _mm_storeu_ps(y + i, _mm_min_ps(hi, _mm_max_ps(lo, r)));
+  }
+  round_int16_scalar(y + i, n - i);
 }
 
 float sum_abs_sse2(const float* x, std::size_t n) {
@@ -300,7 +322,7 @@ void matvec_sse2(const float* rows, const float* x, std::size_t cols,
 
 constexpr Kernels kSse2 = {
     dot_sse2,     scale_sse2,  mul_sse2,
-    add_sse2,     axpy_sse2,   sum_abs_sse2,
+    add_sse2,     axpy_sse2,   round_int16_sse2, sum_abs_sse2,
     sum_sq_sse2,  fir_conv_sse2, complex_butterfly_sse2,
     fft_pass_sse2, banded_dot_sse2, matvec_sse2,
     "sse2"};
@@ -370,6 +392,19 @@ WB_AVX2 void axpy_avx2(float a, const float* x, float* y, std::size_t n) {
                                             _mm256_loadu_ps(y + i)));
   }
   for (; i < n; ++i) y[i] += a * x[i];
+}
+
+WB_AVX2 void round_int16_avx2(float* y, std::size_t n) {
+  const __m256 bias = _mm256_set1_ps(graph::kInt16RoundBias);
+  const __m256 lo = _mm256_set1_ps(-32768.0f);
+  const __m256 hi = _mm256_set1_ps(32767.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 r =
+        _mm256_sub_ps(_mm256_add_ps(_mm256_loadu_ps(y + i), bias), bias);
+    _mm256_storeu_ps(y + i, _mm256_min_ps(hi, _mm256_max_ps(lo, r)));
+  }
+  round_int16_scalar(y + i, n - i);
 }
 
 WB_AVX2 float sum_abs_avx2(const float* x, std::size_t n) {
@@ -521,7 +556,7 @@ WB_AVX2 void matvec_avx2(const float* rows, const float* x, std::size_t cols,
 
 constexpr Kernels kAvx2 = {
     dot_avx2,     scale_avx2,  mul_avx2,
-    add_avx2,     axpy_avx2,   sum_abs_avx2,
+    add_avx2,     axpy_avx2,   round_int16_avx2, sum_abs_avx2,
     sum_sq_avx2,  fir_conv_avx2, complex_butterfly_avx2,
     fft_pass_avx2, banded_dot_avx2, matvec_avx2,
     "avx2"};
@@ -647,7 +682,7 @@ void matvec_neon(const float* rows, const float* x, std::size_t cols,
 
 constexpr Kernels kNeon = {
     dot_neon,     scale_neon,  mul_neon,
-    add_neon,     axpy_neon,   sum_abs_neon,
+    add_neon,     axpy_neon,   round_int16_scalar, sum_abs_neon,
     sum_sq_neon,  fir_conv_neon, complex_butterfly_scalar,
     fft_pass_neon, banded_dot_neon, matvec_neon,
     "neon"};
@@ -709,6 +744,7 @@ void add(const float* a, const float* b, float* y, std::size_t n) {
 void axpy(float a, const float* x, float* y, std::size_t n) {
   active().axpy(a, x, y, n);
 }
+void round_int16(float* y, std::size_t n) { active().round_int16(y, n); }
 float sum_abs(const float* x, std::size_t n) { return active().sum_abs(x, n); }
 float sum_sq(const float* x, std::size_t n) { return active().sum_sq(x, n); }
 void fir_conv(const float* ext, const float* c, std::size_t taps, float* out,

@@ -57,6 +57,11 @@ void add(const float* a, const float* b, float* y, std::size_t n);
 /// y[i] += a * x[i]
 void axpy(float a, const float* x, float* y, std::size_t n);
 
+/// y[i] = graph::round_int16(y[i]) (round half to even, saturate to
+/// the int16 range). Exact in every path, so all return the scalar
+/// rule's values bit for bit.
+void round_int16(float* y, std::size_t n);
+
 /// sum_i |x[i]|
 [[nodiscard]] float sum_abs(const float* x, std::size_t n);
 

@@ -21,6 +21,24 @@ enum class Encoding : std::uint8_t {
   kFloat32 = 4  ///< computed features / filtered signals
 };
 
+/// Adding and subtracting 1.5 * 2^23 rounds any float |x| < 2^22 to
+/// the nearest integer (ties to even) and never yields -0; larger |x|
+/// stay far outside the int16 range.
+inline constexpr float kInt16RoundBias = 12582912.0f;
+
+/// The int16 sample rule: round to the nearest integer (ties to even),
+/// then saturate to [-32768, 32767]. Returns the value as a float.
+/// runtime::marshal applies it to every value it puts on an int16 wire,
+/// and operators that emit Encoding::kInt16 streams apply it to their
+/// outputs (through dsp::simd::round_int16, which computes the same
+/// values), so a stream carries the same values whether or not a cut
+/// crosses it.
+[[nodiscard]] inline float round_int16(float x) {
+  const float r = (x + kInt16RoundBias) - kInt16RoundBias;
+  const float lo = r < -32768.0f ? -32768.0f : r;
+  return lo > 32767.0f ? 32767.0f : lo;
+}
+
 class Frame {
  public:
   Frame() = default;

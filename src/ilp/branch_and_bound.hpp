@@ -147,25 +147,21 @@ struct MipResult {
   /// singular/degenerate factorization fallbacks of compatible bases.
   bool warm_basis_rejected = false;
   /// Why the inherited warm basis was not used: kShape / kStructure for
-  /// pre-flight rejections (warm_basis_rejected == true), kSingular /
-  /// kBoundsRevision when the compatible basis failed to load, kNone
+  /// pre-flight rejections (warm_basis_rejected == true), kSingular
+  /// when the compatible basis failed to load, kNone
   /// when it loaded fine or none was supplied. The serve cache breaks
   /// its warm_basis_rejected counter out by this reason.
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
-  /// Re-entry / pricing telemetry summed over every worker's
+  /// Re-entry / pivot telemetry summed over every worker's
   /// SimplexState (see SimplexTelemetry): how node re-solves restored
   /// feasibility (dual simplex vs composite phase 1), how often a
-  /// dual-mode solve had to fall back, and pivot counts attributed to
-  /// the pricing rule that chose them.
+  /// dual-mode solve had to fall back, and pivot counts per loop.
   std::size_t dual_reentries = 0;
   std::size_t phase1_reentries = 0;
   std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;
   std::size_t dual_pivots = 0;
-  std::size_t pivots_dantzig = 0;
-  std::size_t pivots_devex = 0;
-  std::size_t pivots_dse = 0;
 
   /// Parallel-search telemetry: the worker count the solve actually ran
   /// with (MipOptions::threads == 0 resolved), one entry per worker,

@@ -202,8 +202,8 @@ class Search {
     res.warm_basis_rejected =
         opts_.warm_basis && !opts_.warm_basis->empty() && !warm_compatible_;
     // Pre-flight rejections carry their reason; a compatible basis that
-    // still failed to load (singular factorization, strict bounds-
-    // revision check) reports the reason worker 0's load recorded.
+    // still failed to load (singular factorization) reports the reason
+    // worker 0's load recorded.
     if (res.warm_basis_rejected) {
       res.warm_basis_reject_reason = warm_reject_;
     } else if (opts_.warm_basis && !opts_.warm_basis->empty() &&
@@ -220,9 +220,6 @@ class Search {
       res.phase1_fallbacks += e.tel.phase1_fallbacks;
       res.primal_pivots += e.tel.primal_pivots;
       res.dual_pivots += e.tel.dual_pivots;
-      res.pivots_dantzig += e.tel.pivots_dantzig;
-      res.pivots_devex += e.tel.pivots_devex;
-      res.pivots_dse += e.tel.pivots_dse;
     }
 
     // Proven lower bound: the least bound among unexplored nodes (no
@@ -272,12 +269,10 @@ class Search {
         reg.counter("wishbone_bnb_reentries", {{"mode", "phase1"}});
     static obs::Counter* const fallbacks =
         reg.counter("wishbone_bnb_phase1_fallbacks");
-    static obs::Counter* const pivots_dantzig =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "dantzig"}});
-    static obs::Counter* const pivots_devex =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "devex"}});
-    static obs::Counter* const pivots_dse =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "dse"}});
+    static obs::Counter* const pivots_primal =
+        reg.counter("wishbone_bnb_pivots", {{"loop", "primal"}});
+    static obs::Counter* const pivots_dual =
+        reg.counter("wishbone_bnb_pivots", {{"loop", "dual"}});
     solves->inc();
     nodes->inc(res.nodes_explored);
     lp_iters->inc(res.lp_iterations);
@@ -288,9 +283,8 @@ class Search {
     reentries_dual->inc(res.dual_reentries);
     reentries_phase1->inc(res.phase1_reentries);
     fallbacks->inc(res.phase1_fallbacks);
-    pivots_dantzig->inc(res.pivots_dantzig);
-    pivots_devex->inc(res.pivots_devex);
-    pivots_dse->inc(res.pivots_dse);
+    pivots_primal->inc(res.primal_pivots);
+    pivots_dual->inc(res.dual_pivots);
   }
 
   /// Worker-private solving context: the whole point of the design is
@@ -756,7 +750,7 @@ class Search {
   bool warm_compatible_ = true;
   BasisRejectReason warm_reject_ = BasisRejectReason::kNone;
   /// Worker 0's load failure reason when the pre-flight passed but the
-  /// load itself did not (singular / strict bounds-revision).
+  /// load itself did not (singular factorization).
   BasisRejectReason warm_load_reject_ = BasisRejectReason::kNone;
   /// Context of the bnb.search span; written in run() before workers
   /// spawn, read-only afterwards.

@@ -1,9 +1,8 @@
 // Bounded-variable revised Simplex — primal and dual — over a
 // pluggable basis engine (ilp/basis_lu.hpp): an explicit dense inverse
 // for small bases, or a Markowitz sparse LU with eta-file updates for
-// large ones. Pricing is pluggable too (ilp/pricing.hpp): Dantzig with
-// a candidate list (the tested reference), devex, and dual steepest
-// edge.
+// large ones. One pricing rule, Dantzig with a candidate list, serves
+// both loops.
 //
 // This is the LP engine underneath branch and bound, standing in for
 // lp_solve's Simplex (§4.2.1 footnote 3). Integrality markers on the
@@ -19,10 +18,13 @@
 //    phase 1 drives bound violations of the basic variables to zero by
 //    minimizing total infeasibility with +/-1 costs, then phase 2
 //    minimizes the true objective;
-//  - pricing walks a short candidate list of recently attractive
-//    columns and falls back to a full Dantzig scan only to rebuild the
-//    list or prove optimality; Bland's rule takes over after a run of
-//    degenerate pivots to guard against cycling.
+//  - primal pricing is Dantzig's (the entering column has the largest
+//    |d_j| beyond eps); it walks a short candidate list of recently
+//    attractive columns and falls back to a full scan only to rebuild
+//    the list or prove optimality;
+//  - the dual loop's leaving row is the largest bound violation;
+//  - in both loops Bland's rule (smallest index) takes over after a run
+//    of degenerate pivots to guard against cycling.
 //
 // Warm starts: `SimplexState` keeps the factorized basis alive between
 // solves. Variable bound changes never touch the constraint matrix, so
@@ -47,7 +49,6 @@
 
 #include "ilp/basis_lu.hpp"
 #include "ilp/model.hpp"
-#include "ilp/pricing.hpp"
 
 namespace wishbone::ilp {
 
@@ -75,11 +76,10 @@ enum class ReentryKind {
 
 /// Why load_basis rejected (or would reject) an inherited basis.
 enum class BasisRejectReason {
-  kNone,            ///< not rejected
-  kShape,           ///< dimension mismatch or malformed basic set
-  kStructure,       ///< stamped structure hash differs from the target
-  kBoundsRevision,  ///< stale bounds stamp (opt-in strict check)
-  kSingular,        ///< refactorization of the loaded basis failed
+  kNone,       ///< not rejected
+  kShape,      ///< dimension mismatch or malformed basic set
+  kStructure,  ///< stamped structure hash differs from the target
+  kSingular,   ///< refactorization of the loaded basis failed
 };
 
 [[nodiscard]] const char* basis_reject_name(BasisRejectReason reason);
@@ -105,9 +105,6 @@ struct SimplexTelemetry {
   std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;     ///< phase-1/2 pivots + bound flips
   std::size_t dual_pivots = 0;       ///< dual-loop pivots
-  std::size_t pivots_dantzig = 0;    ///< pivots attributed per rule
-  std::size_t pivots_devex = 0;
-  std::size_t pivots_dse = 0;
 };
 
 struct SimplexOptions {
@@ -133,22 +130,6 @@ struct SimplexOptions {
   /// the dual simplex when the basis is dual-feasible (the usual case
   /// for branch-and-bound children) and falls back to phase 1 when not.
   ReentryKind reentry = ReentryKind::kPhase1;
-  /// Pricing rule; kDantzig is the bit-identical reference.
-  PricingKind pricing = PricingKind::kDantzig;
-  /// Dual steepest-edge weight policy at refactorization: false keeps
-  /// the Forrest-Goldfarb-updated row weights (cheap, approximate —
-  /// they carry accumulated drift); true recomputes the exact norms
-  /// ||B^-T e_r||^2 at m BTRAN-unit solves per refactorization. Only
-  /// meaningful under PricingKind::kDse; devex weights always survive
-  /// refactorization (the rule restarts its own reference framework
-  /// when a weight explodes).
-  bool exact_weight_reset = false;
-  /// Strict load_basis: reject a stamped basis whose bounds_revision
-  /// differs from this state's synced revision (reported as
-  /// BasisRejectReason::kBoundsRevision). Off by default — the legacy
-  /// behavior re-snaps nonbasic variables onto the current bounds,
-  /// which serve-layer stale-cache re-solves rely on.
-  bool reject_stale_bounds = false;
 };
 
 /// A restorable snapshot of a simplex basis: the variable occupying
@@ -158,8 +139,8 @@ struct SimplexOptions {
 /// coefficients differ — loading refactorizes against the new matrix.
 ///
 /// Bases extracted by SimplexState::extract_basis carry a provenance
-/// stamp: the source model's shape, structure hash (sparsity pattern,
-/// see LinearProgram::structure_hash) and bound revision at extraction.
+/// stamp: the source model's shape and structure hash (sparsity
+/// pattern, see LinearProgram::structure_hash).
 /// load_basis rejects a stamped basis whose structure does not match
 /// the target state — threading a basis between formulations that
 /// merely *happen* to share dimensions (a rate-search probe whose
@@ -174,12 +155,6 @@ struct Basis {
   int num_rows = 0;                    ///< m of the source model
   int num_structural = 0;              ///< n of the source model
   std::uint64_t structure_hash = 0;    ///< 0 = unstamped (hand-built)
-  /// Source model's LinearProgram::bounds_revision when extracted.
-  /// Informational: loading re-snaps nonbasic variables onto the target
-  /// state's *current* bounds, so a revision drift is survivable — but
-  /// callers chaining solves can compare it to decide whether the basis
-  /// is still fresh enough to be worth threading.
-  std::uint64_t bounds_revision = 0;
 
   [[nodiscard]] bool empty() const { return basic.empty(); }
   [[nodiscard]] bool stamped() const { return structure_hash != 0; }
@@ -275,7 +250,7 @@ class SimplexState {
   [[nodiscard]] const BasisEngineStats& basis_stats() const {
     return engine_->stats();
   }
-  /// Cumulative re-entry / per-rule pivot telemetry (across solves).
+  /// Cumulative re-entry / pivot telemetry (across solves).
   [[nodiscard]] const SimplexTelemetry& telemetry() const { return tel_; }
 
  private:
@@ -303,8 +278,8 @@ class SimplexState {
   /// the column cannot improve the current phase objective.
   [[nodiscard]] double entering_sigma(int j, double d) const;
   StepOutcome iterate(bool phase1);
-  /// One dual simplex pivot (leaving row by pricing-rule row score,
-  /// entering column by the bound-flipping dual ratio test). Returns
+  /// One dual simplex pivot (leaving row: largest bound violation;
+  /// entering column: the bound-flipping dual ratio test). Returns
   /// kNoDirection when primal-feasible, kUnbounded when the dual is
   /// unbounded (primal infeasible), kNumericalTrouble when the
   /// row/column pivot values disagree and the caller should fall back
@@ -313,9 +288,6 @@ class SimplexState {
   /// True when every nonbasic reduced cost has the sign its bound
   /// status requires — the dual-simplex entry condition.
   [[nodiscard]] bool dual_feasible();
-  bool refactorize();
-  void reset_pricing_weights();
-  void count_pivot(bool dual);
   void snap_nonbasic(int j);
 
   const SimplexOptions opts_;
@@ -332,7 +304,6 @@ class SimplexState {
   std::vector<double> x_;
   std::unique_ptr<BasisEngine> engine_;
 
-  std::unique_ptr<PricingRule> pricing_;
   SimplexTelemetry tel_;
 
   std::vector<int> candidates_;          ///< partial-pricing list
@@ -341,12 +312,9 @@ class SimplexState {
   std::vector<double> w_scratch_;        ///< pivot-direction scratch
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
   std::vector<double> rho_scratch_;      ///< dual pivot row B^-T e_r
-  std::vector<double> tau_scratch_;      ///< B^-1 rho (DSE update)
   std::vector<double> rhs_scratch_;      ///< batched bound-flip rhs
   std::vector<DualCand> dual_cands_;     ///< dual ratio-test candidates
   std::vector<int> flip_scratch_;        ///< columns flipped this pivot
-  std::vector<std::pair<int, double>> alpha_scratch_;  ///< devex alphas
-  const std::vector<double> empty_tau_;  ///< for rules without tau
 
   bool basics_dirty_ = false;  ///< bound edits invalidated basic values
   mutable bool reduced_costs_valid_ = false;

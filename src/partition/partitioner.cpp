@@ -55,7 +55,7 @@ PartitionResult solve_partition(const PartitionProblem& p_in,
     mip.rounding_depth = std::numeric_limits<std::size_t>::max();
   }
   // opts.warm_start only governs the rounding hook; the solver knobs
-  // (warm_lp, reduced_cost_fixing, pricing, warm_basis) stay whatever
+  // (warm_lp, reduced_cost_fixing, candidate list, warm_basis) stay whatever
   // the caller put in opts.mip — ablations wanting the full seed
   // solver set those fields explicitly.
 

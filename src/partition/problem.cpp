@@ -1,5 +1,6 @@
 #include "partition/problem.hpp"
 
+#include <cmath>
 #include <queue>
 
 #include "util/assert.hpp"
@@ -50,9 +51,19 @@ double PartitionProblem::out_bandwidth(std::size_t v) const {
 
 void PartitionProblem::check() const {
   WB_REQUIRE(!vertices.empty(), "partition problem has no vertices");
+  // An infinite weight or budget would reach the ILP as an infinite
+  // coefficient or right-hand side, which the solver cannot honour
+  // (it returned over-budget plans as feasible). "Unbudgeted" is the
+  // finite sentinel kNoResourceBudget.
+  WB_REQUIRE(std::isfinite(cpu_budget) && std::isfinite(net_budget) &&
+                 std::isfinite(ram_budget) && std::isfinite(rom_budget),
+             "non-finite budget (use kNoResourceBudget for no budget)");
   WB_REQUIRE(cpu_budget >= 0.0 && net_budget >= 0.0, "negative budget");
   WB_REQUIRE(alpha >= 0.0 && beta >= 0.0, "negative objective weight");
   for (const ProblemVertex& v : vertices) {
+    WB_REQUIRE(std::isfinite(v.cpu) && std::isfinite(v.ram_bytes) &&
+                   std::isfinite(v.rom_bytes),
+               "non-finite weight on '" + v.name + "'");
     WB_REQUIRE(v.cpu >= 0.0, "negative CPU weight on '" + v.name + "'");
     WB_REQUIRE(v.ram_bytes >= 0.0 && v.rom_bytes >= 0.0,
                "negative memory weight on '" + v.name + "'");
@@ -61,6 +72,7 @@ void PartitionProblem::check() const {
     WB_REQUIRE(e.from < vertices.size() && e.to < vertices.size(),
                "edge endpoint out of range");
     WB_REQUIRE(e.from != e.to, "self-loop in partition problem");
+    WB_REQUIRE(std::isfinite(e.bandwidth), "non-finite bandwidth");
     WB_REQUIRE(e.bandwidth >= 0.0, "negative bandwidth");
   }
   (void)topo_order();

@@ -68,8 +68,8 @@ struct PartitionProblem {
   [[nodiscard]] double in_bandwidth(std::size_t v) const;
   [[nodiscard]] double out_bandwidth(std::size_t v) const;
 
-  /// Sanity checks (non-negative weights, edge indices in range,
-  /// acyclicity); throws ContractError on violation.
+  /// Sanity checks (finite, non-negative weights and budgets, edge
+  /// indices in range, acyclicity); throws ContractError on violation.
   void check() const;
 };
 

@@ -130,7 +130,8 @@ std::vector<Frame> eeg_trace(std::size_t num_windows, const EegParams& p) {
              std::sin(kTwoPi * seiz_freq * t +
                       0.2 * static_cast<double>(p.channel));
       }
-      s[i] = static_cast<float>(x);
+      // The stream is int16 ADC samples: store what the wire carries.
+      s[i] = graph::round_int16(static_cast<float>(x));
     }
     out.emplace_back(std::move(s), Encoding::kInt16);
   }

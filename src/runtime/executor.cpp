@@ -51,17 +51,21 @@ void PartitionedExecutor::route(OperatorId from, Frame&& f) {
     const graph::Edge& e = graph_.edges()[out[idx]];
     const bool last = idx + 1 == out.size();
     if (sides_[e.from] == Side::kNode && sides_[e.to] == Side::kServer) {
-      // Cut edge: marshal, packetize, (maybe) lose, unmarshal.
-      const std::vector<std::uint8_t> wire = marshal(f);
-      const auto packets = packetize(wire, radio_payload_);
+      // Cut edge: marshal, count its messages, (maybe) lose, unmarshal.
+      // The wire buffer is reused frame to frame and the decoded frame
+      // lands in pooled storage, so crossing a cut does not allocate.
+      // wire_ is free again before deliver() recurses into route().
+      marshal_into(f, wire_);
       stats_.cut_frames += 1;
-      stats_.cut_payload_bytes += wire.size();
-      stats_.cut_messages += packets.size();
+      stats_.cut_payload_bytes += wire_.size();
+      stats_.cut_messages += message_count(wire_.size(), radio_payload_);
       if (loss_hook_ && !loss_hook_(stats_.cut_frames - 1)) {
         stats_.cut_frames_lost += 1;
         continue;
       }
-      deliver(e.to, e.to_port, unmarshal(reassemble(packets)));
+      std::vector<float> buf = pool_.acquire(f.size());
+      const graph::Encoding enc = unmarshal_into(wire_, buf);
+      deliver(e.to, e.to_port, Frame(std::move(buf), enc));
     } else if (last) {
       // Local edge, sole remaining consumer: hand the frame over.
       deliver(e.to, e.to_port, std::move(f));

@@ -8,8 +8,10 @@
 // relies on.
 //
 // Streaming is allocation-free in steady state: frames move (never
-// copy) along local edges, fan-out copies land in pooled buffers, and
-// every frame's storage returns to the pool after its consumer runs.
+// copy) along local edges, fan-out copies and frames decoded off a cut
+// edge land in pooled buffers, every frame's storage returns to the
+// pool after its consumer runs, and cut edges marshal into one reused
+// wire buffer.
 // Operators cooperate by building outputs in ctx.get_buffer() storage.
 // The executor does not profile, so Context::cost_meter() is nullptr.
 #pragma once
@@ -37,7 +39,7 @@ struct ExecStats {
   std::uint64_t cut_frames = 0;       ///< frames crossing the cut
   std::uint64_t cut_frames_lost = 0;  ///< dropped by the loss hook
   std::uint64_t cut_payload_bytes = 0;
-  std::uint64_t cut_messages = 0;     ///< after packetization
+  std::uint64_t cut_messages = 0;     ///< radio messages (packetize count)
 };
 
 class PartitionedExecutor {
@@ -79,6 +81,7 @@ class PartitionedExecutor {
   ExecStats stats_;
   graph::CostMeter scratch_meter_;  ///< executor does not profile
   BufferPool pool_;                 ///< recycled frame storage
+  std::vector<std::uint8_t> wire_;  ///< marshal buffer, reused per frame
   bool collect_sink_ = true;
   std::map<OperatorId, std::vector<Frame>>* sink_out_ = nullptr;
 };

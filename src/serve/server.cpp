@@ -13,6 +13,10 @@ namespace wishbone::serve {
 
 namespace {
 
+/// Number of ilp::BasisRejectReason values (kSingular is the last).
+constexpr int kRejectReasons =
+    static_cast<int>(ilp::BasisRejectReason::kSingular) + 1;
+
 /// Registry instruments, resolved once per process (preregistration:
 /// the serve hot path only touches these pointers). Dual-write with
 /// the per-server ServerStats struct, which stays the authoritative
@@ -28,7 +32,7 @@ struct ServeMetrics {
   /// warm_basis_rejected broken out by ilp::BasisRejectReason, indexed
   /// by the enum value (kNone unused — a loaded basis increments
   /// nothing here). The unlabeled counter above stays the total.
-  obs::Counter* warm_basis_rejected_by[5];
+  obs::Counter* warm_basis_rejected_by[kRejectReasons];
   obs::Counter* rejected;
   obs::Counter* shutdown_flushed;
   obs::Counter* submit_timeouts;
@@ -49,7 +53,7 @@ struct ServeMetrics {
       x.warm_basis_used = r.counter("wishbone_serve_warm_basis_used");
       x.warm_basis_rejected = r.counter("wishbone_serve_warm_basis_rejected");
       x.warm_basis_rejected_by[0] = nullptr;
-      for (int reason = 1; reason <= 4; ++reason) {
+      for (int reason = 1; reason < kRejectReasons; ++reason) {
         x.warm_basis_rejected_by[reason] =
             r.counter("wishbone_serve_warm_basis_rejected",
                       {{"reason", ilp::basis_reject_name(
@@ -371,7 +375,9 @@ bool PartitionServer::run_one() {
   {
     const auto reason =
         static_cast<int>(result->solver.warm_basis_reject_reason);
-    if (reason > 0 && reason <= 4) m.warm_basis_rejected_by[reason]->inc();
+    if (reason > 0 && reason < kRejectReasons) {
+      m.warm_basis_rejected_by[reason]->inc();
+    }
   }
 
   SolveResponse proto;

@@ -3,7 +3,9 @@
 // touch the heap at all. Measured with the counting global operator
 // new (util/alloc_count.hpp) by comparing two runs of different length:
 // any fixed per-run overhead (the sources vector, the empty result map)
-// cancels out, so the difference isolates per-event allocations.
+// cancels out, so the difference isolates per-event allocations. The
+// same holds under the cuts the partitioner picks, where frames cross
+// the node/server boundary through marshal and unmarshal.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,7 +16,9 @@
 #include "apps/speech.hpp"
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
+#include "profile/platform.hpp"
 #include "runtime/executor.hpp"
+#include "test_helpers.hpp"
 #include "util/alloc_count.hpp"
 
 namespace wishbone {
@@ -75,6 +79,38 @@ TEST(AllocFree, SpeechSteadyStateMakesZeroAllocationsPerEvent) {
 
   // First run populates the FFT/DCT plan caches and the buffer pool.
   ex.run(traces, 30);
+
+  EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+}
+
+TEST(AllocFree, EegUnderN80CutMakesZeroAllocationsPerEvent) {
+  apps::EegApp app = apps::build_eeg_app();  // 22 channels
+  const auto traces = apps::eeg_traces(app, 130);
+  const std::vector<Side> cut =
+      wbtest::planned_cut(app.g, traces, 3, profile::nokia_n80(),
+                          app.full_rate_events_per_sec());
+  ASSERT_FALSE(cut.empty());
+
+  PartitionedExecutor ex(app.g, cut);
+  ex.set_collect_sink_output(false);
+  ex.run(traces, 30);
+  ASSERT_GT(ex.stats().cut_frames, 0u) << "the cut crosses no edge";
+
+  EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+}
+
+TEST(AllocFree, SpeechUnderGumstixCutMakesZeroAllocationsPerEvent) {
+  apps::SpeechApp app = apps::build_speech_app();
+  const auto traces = apps::speech_traces(app, 130);
+  const std::vector<Side> cut =
+      wbtest::planned_cut(app.g, traces, 64, profile::gumstix(),
+                          apps::SpeechApp::kFullRateEventsPerSec);
+  ASSERT_FALSE(cut.empty());
+
+  PartitionedExecutor ex(app.g, cut);
+  ex.set_collect_sink_output(false);
+  ex.run(traces, 30);
+  ASSERT_GT(ex.stats().cut_frames, 0u) << "the cut crosses no edge";
 
   EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
 }

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstring>
 
 #include "apps/eeg.hpp"
 #include "graph/pinning.hpp"
+#include "profile/platform.hpp"
 #include "profile/profiler.hpp"
 #include "runtime/executor.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 using namespace wishbone;
@@ -119,6 +122,43 @@ TEST(EegApp, SvmSeparatesSeizureFromBackground) {
   EXPECT_GT(fired, 0u);
   EXPECT_EQ(fired, fired_in_seiz);  // no false declarations
   EXPECT_LT(fired, windows / 4);
+}
+
+TEST(EegApp, PartitionedRunMatchesAllOnNodeBitForBit) {
+  // §2.1: a partitioned program computes exactly what the unpartitioned
+  // one does. Under the N80 cut the int16 cascade outputs cross the
+  // radio, so this holds only if the operators emitting int16 streams
+  // round their outputs the way the wire does.
+  EegApp app = build_eeg_app();  // 22 channels
+  const std::size_t windows = 6;
+  const auto traces = eeg_traces(app, windows);
+  const std::vector<graph::Side> cut =
+      wbtest::planned_cut(app.g, traces, 3, profile::nokia_n80(),
+                          app.full_rate_events_per_sec());
+  ASSERT_FALSE(cut.empty());
+
+  graph::Graph cut_g = app.g.clone();
+  graph::Graph all_g = app.g.clone();
+  runtime::PartitionedExecutor cut_ex(cut_g, cut);
+  runtime::PartitionedExecutor all_ex(
+      all_g,
+      std::vector<graph::Side>(all_g.num_operators(), graph::Side::kNode));
+  const auto a = cut_ex.run(traces, windows);
+  const auto b = all_ex.run(traces, windows);
+  ASSERT_GT(cut_ex.stats().cut_frames, 0u) << "the cut crosses no edge";
+
+  const auto& fa = a.at(app.sink);
+  const auto& fb = b.at(app.sink);
+  ASSERT_EQ(fa.size(), windows);
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    ASSERT_EQ(fa[i].encoding(), fb[i].encoding());
+    ASSERT_EQ(fa[i].size(), fb[i].size());
+    EXPECT_EQ(std::memcmp(fa[i].samples().data(), fb[i].samples().data(),
+                          fa[i].size() * sizeof(float)),
+              0)
+        << "window " << i << ": margin " << fa[i][2] << " vs " << fb[i][2];
+  }
 }
 
 TEST(EegApp, PermissiveModeLeavesCascadeMovable) {

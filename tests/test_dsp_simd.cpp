@@ -11,6 +11,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "dsp/mel.hpp"
 #include "dsp/simd.hpp"
 #include "dsp/window.hpp"
+#include "graph/frame.hpp"
 
 using namespace wishbone;
 
@@ -136,6 +138,32 @@ TEST(SimdDifferential, ElementwiseOpsMatchExactly) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(simd_out[i], scalar_out[i]) << "add n=" << n;
       }
+    }
+  }
+}
+
+TEST(SimdDifferential, RoundInt16MatchesTheScalarRule) {
+  // Every path must return graph::round_int16 bit for bit: a partitioned
+  // program's int16 streams depend on it. Values span the int16 range
+  // and beyond, with exact ties and signed zeros mixed in.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<float> u(-40000.0f, 40000.0f);
+  for (std::size_t n : kSizes) {
+    std::vector<float> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (i % 4) {
+        case 0: x[i] = u(rng); break;
+        case 1: x[i] = std::floor(u(rng)) + 0.5f; break;
+        case 2: x[i] = (i % 8 == 2) ? -0.0f : -0.25f; break;
+        default: x[i] = u(rng) * 1e4f; break;
+      }
+    }
+    std::vector<float> got = x;
+    dsp::simd::round_int16(got.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float want = graph::round_int16(x[i]);
+      ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+          << "n=" << n << " x=" << x[i] << " got " << got[i];
     }
   }
 }

@@ -1,12 +1,17 @@
 // Shared fixtures/generators for the Wishbone test suite.
 #pragma once
 
+#include <map>
 #include <random>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "graph/pinning.hpp"
+#include "partition/partitioner.hpp"
 #include "partition/problem.hpp"
+#include "profile/platform.hpp"
+#include "profile/profiler.hpp"
 
 namespace wbtest {
 
@@ -138,6 +143,25 @@ inline std::vector<graph::Frame> int_frames(std::size_t n,
     out.emplace_back(std::move(s), graph::Encoding::kInt16);
   }
   return out;
+}
+
+/// The cut the partitioner picks for `g` on `plat` at `rate` events/s
+/// after profiling the first `profile_events` events of `traces`, as a
+/// side per operator (empty when no plan is feasible). Leaves the
+/// graph's operator state reset.
+inline std::vector<graph::Side> planned_cut(
+    graph::Graph& g,
+    const std::map<graph::OperatorId, std::vector<graph::Frame>>& traces,
+    std::size_t profile_events, const profile::PlatformModel& plat,
+    double rate) {
+  profile::Profiler prof(g);
+  const profile::ProfileData pd = prof.run(traces, profile_events);
+  g.reset_state();
+  const auto pins = graph::analyze_pins(g, graph::Mode::kPermissive);
+  const auto prob = partition::make_problem(g, pins, pd, plat, rate);
+  const auto res = partition::solve_partition(prob);
+  if (!res.feasible) return {};
+  return partition::expand_assignment(prob, res.sides, g.num_operators());
 }
 
 }  // namespace wbtest

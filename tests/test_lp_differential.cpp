@@ -189,61 +189,48 @@ TEST(LpDifferential, WarmReentryChainsAgree) {
   }
 }
 
-// ---------------- re-entry x pricing cross product (PR 10 dual engine)
+// ---------------- engine x re-entry cross product (dual engine)
 
 namespace {
 
-SimplexOptions cfg_opts(BasisEngineKind engine, ReentryKind reentry,
-                        PricingKind pricing) {
+SimplexOptions cfg_opts(BasisEngineKind engine, ReentryKind reentry) {
   SimplexOptions o = engine_opts(engine);
   o.reentry = reentry;
-  o.pricing = pricing;
   return o;
-}
-
-std::string cfg_label(BasisEngineKind engine, ReentryKind reentry,
-                      PricingKind pricing) {
-  return std::string(engine_name(engine)) + "/" + reentry_name(reentry) +
-         "/" + pricing_name(pricing);
 }
 
 constexpr BasisEngineKind kEngines[] = {BasisEngineKind::kDense,
                                         BasisEngineKind::kLu};
 constexpr ReentryKind kReentries[] = {ReentryKind::kPhase1,
                                       ReentryKind::kDual};
-constexpr PricingKind kPricings[] = {PricingKind::kDantzig,
-                                     PricingKind::kDevex, PricingKind::kDse};
 
 }  // namespace
 
-TEST(LpDifferential, ReentryPricingCrossProductAgrees) {
-  // Every (engine, re-entry, pricing) configuration is the same solver:
-  // different pivot walks, identical answers. The dense/phase1/dantzig
-  // configuration (the PR 1 reference walk) is the oracle.
+TEST(LpDifferential, EngineReentryCrossProductAgrees) {
+  // Every (engine, re-entry) configuration is the same solver: different
+  // pivot walks, identical answers. The dense/phase1 configuration (the
+  // reference walk) is the oracle.
   const int trials = std::max(diff_trials() / 8, 25);
   for (int t = 0; t < trials; ++t) {
     const std::uint32_t seed = 50000u + static_cast<std::uint32_t>(t);
     const LinearProgram lp = gen_partition_shaped(seed, /*integral=*/false);
     const LpSolution ref = SimplexSolver().solve(
-        lp, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1,
-                     PricingKind::kDantzig));
+        lp, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1));
     for (BasisEngineKind engine : kEngines) {
       for (ReentryKind reentry : kReentries) {
-        for (PricingKind pricing : kPricings) {
-          const std::string label =
-              cfg_label(engine, reentry, pricing) +
-              " seed=" + std::to_string(seed);
-          const LpSolution got =
-              SimplexSolver().solve(lp, cfg_opts(engine, reentry, pricing));
-          ASSERT_EQ(got.status, ref.status)
-              << label << "\nref: " << describe(ref)
-              << "\ngot: " << describe(got) << "\n" << lp.to_text();
-          if (ref.status != SolveStatus::kOptimal) continue;
-          const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
-          EXPECT_NEAR(got.objective, ref.objective, tol) << label;
-          EXPECT_LE(lp.max_violation(got.x), 1e-5)
-              << label << ": infeasible point";
-        }
+        const std::string label = std::string(engine_name(engine)) + "/" +
+                                  reentry_name(reentry) +
+                                  " seed=" + std::to_string(seed);
+        const LpSolution got =
+            SimplexSolver().solve(lp, cfg_opts(engine, reentry));
+        ASSERT_EQ(got.status, ref.status)
+            << label << "\nref: " << describe(ref)
+            << "\ngot: " << describe(got) << "\n" << lp.to_text();
+        if (ref.status != SolveStatus::kOptimal) continue;
+        const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
+        EXPECT_NEAR(got.objective, ref.objective, tol) << label;
+        EXPECT_LE(lp.max_violation(got.x), 1e-5)
+            << label << ": infeasible point";
       }
     }
     if (::testing::Test::HasFatalFailure()) return;
@@ -253,7 +240,7 @@ TEST(LpDifferential, ReentryPricingCrossProductAgrees) {
 TEST(LpDifferential, DualReentryChainsMatchPhaseOne) {
   // The branch-and-bound edit pattern under the dual path: persistent
   // states re-solving through chains of variable fixings. The dense
-  // phase-1/dantzig state is the oracle; each dual-path configuration
+  // phase-1 state is the oracle; each dual-path configuration
   // must agree on status and objective after every edit. Aggregate
   // telemetry proves the dual loop actually handled the re-entries
   // instead of silently punting everything to phase 1.
@@ -263,16 +250,12 @@ TEST(LpDifferential, DualReentryChainsMatchPhaseOne) {
   for (int t = 0; t < chains; ++t) {
     const std::uint32_t seed = 60000u + static_cast<std::uint32_t>(t);
     const LinearProgram base = gen_partition_shaped(seed, false);
-    SimplexState oracle(base, cfg_opts(BasisEngineKind::kDense,
-                                       ReentryKind::kPhase1,
-                                       PricingKind::kDantzig));
+    SimplexState oracle(
+        base, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1));
     std::vector<SimplexState> duals;
-    duals.reserve(6);
+    duals.reserve(std::size(kEngines));
     for (BasisEngineKind engine : kEngines) {
-      for (PricingKind pricing : kPricings) {
-        duals.emplace_back(base,
-                           cfg_opts(engine, ReentryKind::kDual, pricing));
-      }
+      duals.emplace_back(base, cfg_opts(engine, ReentryKind::kDual));
     }
     const int n = base.num_variables();
     for (int step = 0; step < 5; ++step) {

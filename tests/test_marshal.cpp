@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
+#include <utility>
 
 #include "runtime/marshal.hpp"
 #include "util/assert.hpp"
@@ -104,4 +107,55 @@ TEST(Marshal, RandomizedRoundTripProperty) {
       EXPECT_FLOAT_EQ(back[i], f[i]);
     }
   }
+}
+
+TEST(Marshal, Int16RuleRoundsHalfToEvenAndSaturates) {
+  // The one int16 rule: what an operator emitting an int16 stream
+  // computes is exactly what the wire carries.
+  const std::vector<std::pair<float, float>> cases = {
+      {0.5f, 0.0f},         {1.5f, 2.0f},          {2.5f, 2.0f},
+      {-0.5f, 0.0f},        {-1.5f, -2.0f},        {-0.4f, 0.0f},
+      {-0.6f, -1.0f},       {12.49f, 12.0f},       {32767.4f, 32767.0f},
+      {32767.5f, 32767.0f}, {-32768.5f, -32768.0f}, {1e9f, 32767.0f},
+      {-1e9f, -32768.0f},   {-0.0f, 0.0f}};
+  for (const auto& [x, want] : cases) {
+    const float got = graph::round_int16(x);
+    EXPECT_EQ(got, want) << x;
+    EXPECT_FALSE(std::signbit(got) && got == 0.0f) << x << " gave -0";
+    const Frame back = unmarshal(marshal(Frame({x}, Encoding::kInt16)));
+    EXPECT_EQ(back[0], got) << x;
+  }
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<float> u(-40000.0f, 40000.0f);
+  for (int i = 0; i < 10000; ++i) {
+    const float x = u(rng);
+    const double ref =
+        std::clamp(static_cast<double>(std::nearbyint(x)), -32768.0, 32767.0);
+    EXPECT_EQ(graph::round_int16(x), static_cast<float>(ref)) << x;
+  }
+}
+
+TEST(Marshal, IntoReusedBuffersMatchesAllocatingForms) {
+  std::vector<std::uint8_t> wire;
+  std::vector<float> samples;
+  for (const Frame& f :
+       {Frame(std::vector<float>(300, 7.0f), Encoding::kInt16),
+        Frame({1.25f, -3.5f}, Encoding::kFloat32),
+        Frame(std::vector<float>{}, Encoding::kInt16)}) {
+    marshal_into(f, wire);
+    EXPECT_EQ(wire, marshal(f));
+    EXPECT_EQ(unmarshal_into(wire, samples), f.encoding());
+    EXPECT_EQ(samples, unmarshal(wire).samples());
+  }
+}
+
+TEST(Packetize, MessageCountMatchesPacketize) {
+  for (std::size_t payload : {1u, 5u, 28u, 100u}) {
+    for (std::size_t n : {0u, 1u, 5u, 27u, 28u, 29u, 56u, 57u, 405u}) {
+      const std::vector<std::uint8_t> bytes(n, 1);
+      EXPECT_EQ(message_count(n, payload), packetize(bytes, payload).size())
+          << n << " bytes, payload " << payload;
+    }
+  }
+  EXPECT_THROW((void)message_count(10, 0), ContractError);
 }

@@ -269,14 +269,13 @@ TEST(ObsMetrics, PrometheusExportShape) {
 }
 
 TEST(ObsMetrics, BnbReentryAndPivotCountersExport) {
-  // A dual-path solve must leave the per-mode re-entry and per-rule
+  // A dual-path solve must leave the per-mode re-entry and per-loop
   // pivot counters registered on the global registry, with valid
   // Prometheus label syntax (check_obs_export.py gates the same lines
   // out of the serve bench's full-registry dump).
   const auto p = wbtest::random_problem(7);
   partition::PartitionOptions opts;
   opts.mip.lp.reentry = ilp::ReentryKind::kDual;
-  opts.mip.lp.pricing = ilp::PricingKind::kDevex;
   const auto r = partition::solve_partition(p, opts);
   ASSERT_TRUE(r.feasible);
 
@@ -285,14 +284,15 @@ TEST(ObsMetrics, BnbReentryAndPivotCountersExport) {
        {"wishbone_bnb_reentries_total{mode=\"dual\"}",
         "wishbone_bnb_reentries_total{mode=\"phase1\"}",
         "wishbone_bnb_phase1_fallbacks_total",
-        "wishbone_bnb_pivots_total{rule=\"dantzig\"}",
-        "wishbone_bnb_pivots_total{rule=\"devex\"}",
-        "wishbone_bnb_pivots_total{rule=\"dse\"}"}) {
+        "wishbone_bnb_pivots_total{loop=\"primal\"}",
+        "wishbone_bnb_pivots_total{loop=\"dual\"}"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
-  // The devex dual solve must actually have recorded pivots under its
-  // rule's label.
+  EXPECT_EQ(text.find("wishbone_bnb_pivots_total{rule="), std::string::npos);
+  // The dual solve must actually have pivoted, and every pivot is
+  // attributed to exactly one loop.
   EXPECT_GT(r.solver.lp_iterations, 0u);
+  EXPECT_GT(r.solver.primal_pivots + r.solver.dual_pivots, 0u);
 }
 
 TEST(ObsMetrics, ServeWarmBasisRejectReasonCountersExport) {
@@ -314,7 +314,6 @@ TEST(ObsMetrics, ServeWarmBasisRejectReasonCountersExport) {
   for (const char* needle :
        {"wishbone_serve_warm_basis_rejected_total{reason=\"shape\"}",
         "wishbone_serve_warm_basis_rejected_total{reason=\"structure\"}",
-        "wishbone_serve_warm_basis_rejected_total{reason=\"bounds_revision\"}",
         "wishbone_serve_warm_basis_rejected_total{reason=\"singular\"}"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }

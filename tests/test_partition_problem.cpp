@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "apps/fig3.hpp"
+#include "partition/partitioner.hpp"
 #include "partition/problem.hpp"
 #include "profile/profiler.hpp"
 #include "test_helpers.hpp"
@@ -25,6 +29,104 @@ TEST(Problem, CheckRejectsBadInstances) {
   p = apps::fig3_problem();
   p.edges.push_back(ProblemEdge{2, 2, 1.0});
   EXPECT_THROW(p.check(), ContractError);  // self loop
+}
+
+// ---------------------------------------------- non-finite inputs
+
+namespace {
+
+constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+/// Source (pinned to the node) -> two movable filters -> sink (pinned
+/// to the server); 0.2 CPU per vertex under a 0.5 CPU budget, so at
+/// most two vertices fit on the node.
+PartitionProblem chain4() {
+  PartitionProblem p;
+  for (const char* name : {"src", "f1", "f2", "sink"}) {
+    ProblemVertex v;
+    v.name = name;
+    v.cpu = 0.2;
+    v.ops = {p.vertices.size()};
+    p.vertices.push_back(v);
+  }
+  p.vertices.front().req = Requirement::kNode;
+  p.vertices.back().req = Requirement::kServer;
+  p.edges = {ProblemEdge{0, 1, 100.0}, ProblemEdge{1, 2, 50.0},
+             ProblemEdge{2, 3, 10.0}};
+  p.cpu_budget = 0.5;
+  p.net_budget = 1e18;
+  return p;
+}
+
+/// check() and solve_partition() must both refuse `p`, for +inf, -inf
+/// and NaN written through `field`.
+template <class Set>
+void expect_non_finite_rejected(Set field) {
+  for (double bad : {kPosInf, -kPosInf,
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    PartitionProblem p = chain4();
+    field(p, bad);
+    EXPECT_THROW(p.check(), ContractError) << bad;
+    EXPECT_THROW((void)solve_partition(p), ContractError) << bad;
+  }
+}
+
+}  // namespace
+
+TEST(ProblemNonFinite, NetBudgetRejected) {
+  // Probe: an infinite network budget used to come back "feasible" with
+  // three vertices on the node, 0.6 CPU against a 0.5 budget. Huge
+  // finite budgets solve within the CPU budget.
+  PartitionProblem p = chain4();
+  const PartitionResult ok = solve_partition(p);
+  ASSERT_TRUE(ok.feasible);
+  EXPECT_LE(ok.cpu_used, p.cpu_budget + 1e-9);
+  p.net_budget = 1e300;
+  EXPECT_LE(solve_partition(p).cpu_used, p.cpu_budget + 1e-9);
+
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.net_budget = x; });
+}
+
+TEST(ProblemNonFinite, RamBytesRejected) {
+  // Probe: an infinite RAM weight under a 10-byte RAM budget used to
+  // come back "feasible" with a server->node edge.
+  expect_non_finite_rejected([](PartitionProblem& q, double x) {
+    q.ram_budget = 10.0;
+    q.vertices[1].ram_bytes = x;
+  });
+}
+
+TEST(ProblemNonFinite, CpuWeightRejected) {
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.vertices[2].cpu = x; });
+}
+
+TEST(ProblemNonFinite, RomBytesRejected) {
+  expect_non_finite_rejected([](PartitionProblem& q, double x) {
+    q.rom_budget = 10.0;
+    q.vertices[1].rom_bytes = x;
+  });
+}
+
+TEST(ProblemNonFinite, BandwidthRejected) {
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.edges[1].bandwidth = x; });
+}
+
+TEST(ProblemNonFinite, CpuBudgetRejected) {
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.cpu_budget = x; });
+}
+
+TEST(ProblemNonFinite, RamBudgetRejected) {
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.ram_budget = x; });
+}
+
+TEST(ProblemNonFinite, RomBudgetRejected) {
+  expect_non_finite_rejected(
+      [](PartitionProblem& q, double x) { q.rom_budget = x; });
 }
 
 TEST(Problem, TopoOrderDetectsCycle) {
