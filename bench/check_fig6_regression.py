@@ -3,6 +3,7 @@
 
 Usage:
     check_fig6_regression.py REFERENCE.json FRESH.json [--max-iter-regression R]
+                             [--require-identical-walk]
                              [--wall-trend SNAP [SNAP ...]]
 
 Compares the LP-iteration totals of the two runs over the sweep points
@@ -16,6 +17,11 @@ changes answers is a bug, not an optimization.
 
 Exits nonzero when the fresh run needs more than (1 + R) times the
 reference iterations on the mutually proved points (default R = 0.10).
+
+--require-identical-walk additionally fails unless every sweep point
+took the same walk as the reference: equal LP iterations, B&B nodes,
+objective and proved flag, point for point. A change that must leave
+the solver's pivots alone (a faster engine, a refactor) is held to it.
 
 --wall-trend prints a report-only wall-clock table across historical
 snapshots (e.g. the PR 1 / PR 2 / PR 3 references) plus the fresh run:
@@ -82,6 +88,9 @@ def main():
                     help="for a fresh run with reentry=dual: fail when "
                          "phase-1 fallbacks exceed this fraction of all "
                          "dual re-entry attempts (e.g. 0.05)")
+    ap.add_argument("--require-identical-walk", action="store_true",
+                    help="fail unless every sweep point has the reference's "
+                         "LP iterations, nodes, objective and proved flag")
     args = ap.parse_args()
 
     ref = load(args.reference)
@@ -157,6 +166,21 @@ def main():
         if abs(ref_obj[i] - new_obj[i]) > tol:
             sys.exit(f"objective mismatch at proved sweep point {i}: "
                      f"reference {ref_obj[i]!r} vs fresh {new_obj[i]!r}")
+
+    if args.require_identical_walk:
+        keys = ("lp_iterations_per_point", "nodes_per_point", "objectives",
+                "proved")
+        for key in keys:
+            a, b = ref.get(key), new.get(key)
+            if a is None or b is None or len(a) != len(b):
+                sys.exit(f"identical-walk check: '{key}' missing or of "
+                         f"different length")
+            for i, (x, y) in enumerate(zip(a, b)):
+                if x != y:
+                    sys.exit(f"walk differs at sweep point {i}: {key} "
+                             f"reference {x!r} vs fresh {y!r}")
+        print(f"identical walk: {', '.join(keys)} equal on all "
+              f"{len(ref['proved'])} points")
 
     ref_total = sum(ref_iters[i] for i in mutual)
     new_total = sum(new_iters[i] for i in mutual)

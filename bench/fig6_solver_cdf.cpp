@@ -41,6 +41,7 @@
 //              pre-warm-start solver, for baseline comparisons).
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -129,7 +130,8 @@ int main(int argc, char** argv) {
 
   std::vector<double> discover, prove, objectives, proved, point_nodes,
       point_iters, point_wall, point_refacs, point_etas, point_steals,
-      point_reloads, point_idle, point_dual_reentries, point_fallbacks;
+      point_reloads, point_idle, point_dual_reentries, point_fallbacks,
+      point_ftran_calls, point_ftran_nnz, point_factor_entries;
   std::size_t feasible = 0;
   std::size_t censored = 0;
   std::size_t total_nodes = 0;
@@ -189,6 +191,10 @@ int main(int argc, char** argv) {
     point_refacs.push_back(
         static_cast<double>(r.solver.basis_refactorizations));
     point_etas.push_back(static_cast<double>(r.solver.eta_updates));
+    point_ftran_calls.push_back(static_cast<double>(r.solver.ftran_calls));
+    point_ftran_nnz.push_back(static_cast<double>(r.solver.ftran_nnz));
+    point_factor_entries.push_back(
+        static_cast<double>(r.solver.factor_row_entries));
     point_steals.push_back(static_cast<double>(r.solver.steals));
     point_reloads.push_back(static_cast<double>(r.solver.snapshot_reloads));
     point_idle.push_back(r.solver.idle_s_total);
@@ -264,6 +270,19 @@ int main(int argc, char** argv) {
   std::printf("basis engine: %zu refactorizations, %zu eta updates, "
               "eta-file peak %zu\n",
               total_refacs, total_etas, eta_len_peak);
+  {
+    double calls = 0.0, nnz = 0.0, entries = 0.0;
+    for (std::size_t p = 0; p < point_ftran_calls.size(); ++p) {
+      calls += point_ftran_calls[p];
+      nnz += point_ftran_nnz[p];
+      entries += point_factor_entries[p];
+    }
+    std::printf("engine work: %.0f FTRANs, %.1f result nonzeros each; "
+                "%.0f row entries per factorization\n",
+                calls, calls > 0.0 ? nnz / calls : 0.0,
+                total_refacs > 0 ? entries / static_cast<double>(total_refacs)
+                                 : 0.0);
+  }
   std::printf("re-entry (%s): %zu dual re-entries, %zu "
               "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
               "primal / %zu dual\n",
@@ -324,6 +343,27 @@ int main(int argc, char** argv) {
   j.set_array("idle_s_per_point", point_idle);
   j.set_array("dual_reentries_per_point", point_dual_reentries);
   j.set_array("phase1_fallbacks_per_point", point_fallbacks);
+  // Work per basis-engine layer, per point (deterministic counts, no
+  // clocks): which layer moved can be read from here alone.
+  // ftran_nnz / ftran_calls is the mean FTRAN result size (the work
+  // FTRAN does follows it); factor_row_entries divided by
+  // refactorizations_per_point (above) is the elimination's row-update
+  // work per factorization.
+  {
+    obs::JsonWriter b(/*pretty=*/true);
+    b.begin_object();
+    const std::pair<const char*, const std::vector<double>*> arrays[] = {
+        {"ftran_calls_per_point", &point_ftran_calls},
+        {"ftran_nnz_per_point", &point_ftran_nnz},
+        {"factor_row_entries_per_point", &point_factor_entries}};
+    for (const auto& [name, vs] : arrays) {
+      b.key(name).begin_array();
+      for (double v : *vs) b.value(v);
+      b.end_array();
+    }
+    b.end_object();
+    j.set_raw("breakdown", b.take());
+  }
   j.write("BENCH_fig6.json");
   return 0;
 }

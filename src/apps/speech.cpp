@@ -6,6 +6,7 @@
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/mel.hpp"
+#include "dsp/simd.hpp"
 #include "dsp/window.hpp"
 #include "util/assert.hpp"
 
@@ -44,12 +45,16 @@ class WindowOp final : public OperatorImpl {
 };
 
 /// Pre-emphasis y[n] = x[n] - 0.97 x[n-1]; stateful across frames.
+/// Like Hamming below, it emits an int16 stream and so rounds its
+/// output by graph::round_int16: the values are then the same whether
+/// or not a cut puts the stream on the radio.
 class PreemphOp final : public OperatorImpl {
  public:
   void process(std::size_t, const Frame& in, Context& ctx) override {
     std::vector<float> out = ctx.get_buffer(in.size());
     dsp::preemphasis_into(dsp::SignalView(in.samples()), 0.97f, prev_,
                           dsp::MutSignalView(out), ctx.cost_meter());
+    dsp::simd::round_int16(out.data(), out.size());
     ctx.emit(Frame(std::move(out), Encoding::kInt16));
   }
   [[nodiscard]] std::unique_ptr<OperatorImpl> clone() const override {
@@ -70,6 +75,7 @@ class HammingOp final : public OperatorImpl {
     dsp::apply_window_into(dsp::SignalView(in.samples()),
                            dsp::SignalView(window_),
                            dsp::MutSignalView(out), ctx.cost_meter());
+    dsp::simd::round_int16(out.data(), out.size());
     ctx.emit(Frame(std::move(out), Encoding::kInt16));
   }
   [[nodiscard]] std::unique_ptr<OperatorImpl> clone() const override {

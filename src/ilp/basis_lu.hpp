@@ -22,7 +22,11 @@
 //    vector instead of touching m^2 entries, and the factorization is
 //    rebuilt only when the eta file hits `max_eta` or a pivot is too
 //    unstable to absorb (update() returns false and the caller
-//    refactorizes). Solves cost O(nnz(L)+nnz(U)+nnz(etas)).
+//    refactorizes). Its work follows the nonzeros it touches, not m:
+//    FTRAN costs O(reach) (the symbolic reach of the right-hand side
+//    through L, U and the eta file), update() O(nnz(w)), and
+//    factorize() updates the active rows in place. BTRAN stays a dense
+//    O(m + nnz(L) + nnz(U) + nnz(etas)) pass.
 //
 // The engines are numerically interchangeable; the randomized
 // differential harness (tests/test_lp_differential.cpp) pits them
@@ -38,6 +42,16 @@ namespace wishbone::ilp {
 
 /// One working-form column: (constraint row, coefficient) pairs.
 using SparseColumn = std::vector<std::pair<int, double>>;
+
+/// A dense m-vector plus the ascending list of the positions that may
+/// hold a nonzero; every entry outside `pattern` is exactly zero. FTRAN
+/// returns its result in this form so the simplex loops (ratio tests,
+/// basic-value step, eta update) walk the pattern instead of 0..m-1 —
+/// in ascending order, so ties break exactly as a dense walk would.
+struct IndexedVector {
+  std::vector<double> values;
+  std::vector<int> pattern;
+};
 
 enum class BasisEngineKind {
   kAuto,   ///< resolve by row count: dense for small m, LU otherwise
@@ -60,6 +74,13 @@ struct BasisEngineStats {
   std::size_t eta_len = 0;           ///< current eta-file length
   std::size_t eta_len_peak = 0;      ///< longest eta file ever held
   std::size_t factor_nnz = 0;        ///< nnz(L)+nnz(U) of the last LU
+  /// Work counts (deterministic, no clocks): sparse-column FTRANs, the
+  /// summed size of their result patterns, and the entries factorize()'s
+  /// row updates visit — row entries updated, cancelled or filled in,
+  /// plus the column-list entries scanned to find them.
+  std::size_t ftran_calls = 0;
+  std::size_t ftran_nnz = 0;
+  std::size_t factor_row_entries = 0;
 };
 
 struct BasisEngineOptions {
@@ -85,8 +106,11 @@ class BasisEngine {
   [[nodiscard]] virtual bool factorize(const std::vector<SparseColumn>& cols,
                                        const std::vector<int>& basic) = 0;
 
-  /// out = B^-1 a for a sparse column `a`; out is assigned size m.
-  virtual void ftran(const SparseColumn& a, std::vector<double>& out) const = 0;
+  /// out = B^-1 a for a sparse column `a`. `out` is either empty or
+  /// the untouched result of an earlier ftran (its old pattern is
+  /// cleared); on return out.values has size m and out.pattern lists,
+  /// strictly ascending, a superset of the result's nonzeros.
+  virtual void ftran(const SparseColumn& a, IndexedVector& out) const = 0;
 
   /// In-place x = B^-1 x for a dense right-hand side.
   virtual void ftran_dense(std::vector<double>& x) const = 0;
@@ -102,16 +126,16 @@ class BasisEngine {
   virtual void btran_unit(int r, std::vector<double>& out) const = 0;
 
   /// Absorbs a pivot: basis column `leave_row` replaced by the column
-  /// whose FTRAN image is `w` (the simplex pivot direction). Returns
-  /// false when the engine declines — eta file full or the pivot too
-  /// unstable — in which case the caller must refactorize() instead.
-  [[nodiscard]] virtual bool update(int leave_row,
-                                    const std::vector<double>& w) = 0;
+  /// whose FTRAN image is `w` (the simplex pivot direction, as ftran
+  /// returned it). Returns false when the engine declines — eta file
+  /// full or the pivot too unstable — in which case the caller must
+  /// refactorize() instead.
+  [[nodiscard]] virtual bool update(int leave_row, const IndexedVector& w) = 0;
 
   [[nodiscard]] const BasisEngineStats& stats() const { return stats_; }
 
  protected:
-  BasisEngineStats stats_;
+  mutable BasisEngineStats stats_;  ///< const solves advance the work counts
 };
 
 /// Creates an engine for an m-row basis; kAuto is resolved here.

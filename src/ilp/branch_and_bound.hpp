@@ -131,11 +131,17 @@ struct MipResult {
   /// Basis-engine telemetry of the shared simplex state: which engine
   /// ran (kAuto resolved), how often the basis was refactorized, how
   /// many pivots the eta file absorbed, and its peak length. Dense
-  /// engine: eta fields stay 0.
+  /// engine: eta fields stay 0. The work counts follow each layer of
+  /// the engine: sparse-column FTRANs and their summed result-pattern
+  /// sizes, and the entries factorize()'s row updates visit (see
+  /// BasisEngineStats).
   BasisEngineKind basis_engine = BasisEngineKind::kDense;
   std::size_t basis_refactorizations = 0;
   std::size_t eta_updates = 0;
   std::size_t eta_len_peak = 0;
+  std::size_t ftran_calls = 0;
+  std::size_t ftran_nnz = 0;
+  std::size_t factor_row_entries = 0;
   /// True when MipOptions::warm_basis was present, well-shaped, and
   /// factorized cleanly (false = the solve fell back to a cold basis).
   bool warm_basis_loaded = false;

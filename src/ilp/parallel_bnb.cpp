@@ -212,9 +212,12 @@ class Search {
     }
     res.basis_engine = exits_[0].engine;
     for (const WorkerExit& e : exits_) {
-      res.basis_refactorizations += e.refactorizations;
-      res.eta_updates += e.eta_updates;
-      res.eta_len_peak = std::max(res.eta_len_peak, e.eta_len_peak);
+      res.basis_refactorizations += e.basis.refactorizations;
+      res.eta_updates += e.basis.eta_updates;
+      res.eta_len_peak = std::max(res.eta_len_peak, e.basis.eta_len_peak);
+      res.ftran_calls += e.basis.ftran_calls;
+      res.ftran_nnz += e.basis.ftran_nnz;
+      res.factor_row_entries += e.basis.factor_row_entries;
       res.dual_reentries += e.tel.dual_reentries;
       res.phase1_reentries += e.tel.phase1_reentries;
       res.phase1_fallbacks += e.tel.phase1_fallbacks;
@@ -686,9 +689,7 @@ class Search {
       process(w, ctx, std::move(*nd), stolen, tel);
     }
     exits_[w] = WorkerExit{ctx.state.extract_basis(),
-                           ctx.state.basis_stats().refactorizations,
-                           ctx.state.basis_stats().eta_updates,
-                           ctx.state.basis_stats().eta_len_peak,
+                           ctx.state.basis_stats(),
                            ctx.state.engine_kind(),
                            ctx.state.telemetry()};
   }
@@ -737,9 +738,7 @@ class Search {
   /// written only by that worker, read after join().
   struct WorkerExit {
     Basis final_basis;
-    std::size_t refactorizations = 0;
-    std::size_t eta_updates = 0;
-    std::size_t eta_len_peak = 0;
+    BasisEngineStats basis;
     BasisEngineKind engine = BasisEngineKind::kDense;
     SimplexTelemetry tel;
   };

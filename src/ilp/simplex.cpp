@@ -251,10 +251,12 @@ double SimplexState::phase1_cost(int var) const {
   return 0.0;
 }
 
-double SimplexState::total_infeasibility() const {
+double SimplexState::load_phase1_costs(std::vector<double>& y) const {
+  y.resize(m_);
   double s = 0.0;
   for (int i = 0; i < m_; ++i) {
     const int v = basic_[i];
+    y[i] = phase1_cost(v);
     s += std::max(0.0, x_[v] - up_[v]);
     s += std::max(0.0, lo_[v] - x_[v]);
   }
@@ -273,12 +275,10 @@ void SimplexState::recompute_basic_values() {
   for (int i = 0; i < m_; ++i) x_[basic_[i]] = rhs[i];
 }
 
-void SimplexState::compute_duals(bool phase1, std::vector<double>& y) const {
-  // y^T = cB^T * B^-1 for the phase's cost vector (a BTRAN).
-  y.assign(m_, 0.0);
-  for (int i = 0; i < m_; ++i) {
-    y[i] = phase1 ? phase1_cost(basic_[i]) : cost_[basic_[i]];
-  }
+void SimplexState::compute_duals(std::vector<double>& y) const {
+  // y^T = cB^T * B^-1 for the true costs (a BTRAN).
+  y.resize(m_);
+  for (int i = 0; i < m_; ++i) y[i] = cost_[basic_[i]];
   engine_->btran(y);
 }
 
@@ -308,7 +308,7 @@ const std::vector<double>& SimplexState::reduced_costs() const {
   // reduced costs (branch and bound's fixing pass), not on every node
   // LP solve.
   if (!reduced_costs_valid_) {
-    compute_duals(/*phase1=*/false, y_scratch_);
+    compute_duals(y_scratch_);
     for (int j = 0; j < n_struct_; ++j) {
       reduced_costs_[j] =
           in_basis_[j] >= 0
@@ -339,7 +339,7 @@ LpSolution SimplexState::solve(double cutoff) {
   // afterwards as the numerical safety net and the optimality proof
   // (both are no-ops when the dual loop finished clean).
   if (opts_.reentry == ReentryKind::kDual &&
-      total_infeasibility() > opts_.eps) {
+      load_phase1_costs(y_scratch_) > opts_.eps) {
     if (dual_feasible()) {
       ++tel_.dual_reentries;
       sol.dual_reentry = true;
@@ -396,12 +396,14 @@ LpSolution SimplexState::solve(double cutoff) {
       ++tel_.phase1_fallbacks;
     }
   }
-  if (total_infeasibility() > opts_.eps) ++tel_.phase1_reentries;
+  if (load_phase1_costs(y_scratch_) > opts_.eps) ++tel_.phase1_reentries;
 
   // Phase 1: drive basic-variable bound violations to zero, starting
   // from whatever basis this state currently holds (warm re-entry after
-  // bound edits, an inherited basis, or the cold crash basis).
-  while (total_infeasibility() > opts_.eps) {
+  // bound edits, an inherited basis, or the cold crash basis). The loop
+  // test loads the phase-1 costs that iterate() then prices with, so
+  // the infeasibility is summed once per iteration.
+  while (load_phase1_costs(y_scratch_) > opts_.eps) {
     const StepOutcome oc = iterate(/*phase1=*/true);
     if (oc == StepOutcome::kNoDirection) {
       sol.status = SolveStatus::kInfeasible;
@@ -449,7 +451,11 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
   ++iters_;
 
-  compute_duals(phase1, y_scratch_);
+  if (phase1) {
+    engine_->btran(y_scratch_);  // costs loaded by the phase-1 loop test
+  } else {
+    compute_duals(y_scratch_);
+  }
   const std::vector<double>& y = y_scratch_;
 
   // Pricing: find an entering variable. The candidate list from the
@@ -525,12 +531,14 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   }
   if (enter == -1) return StepOutcome::kNoDirection;
 
-  // Direction through the basis: w = B^-1 * A_enter (an FTRAN).
-  std::vector<double>& w = w_scratch_;
+  // Direction through the basis: w = B^-1 * A_enter (an FTRAN). Its
+  // pattern lists the rows the direction can move, ascending, so the
+  // loops below visit exactly the rows a 0..m-1 walk would not skip.
+  IndexedVector& w = w_scratch_;
   engine_->ftran(cols_[enter], w);
 
   // Ratio test. The entering variable moves by t >= 0 in direction
-  // enter_sigma; basic k changes at rate -enter_sigma * w[k].
+  // enter_sigma; basic k changes at rate -enter_sigma * w_k.
   double t_max = kInf;
   int leave_row = -1;
   double leave_bound = 0.0;
@@ -540,8 +548,8 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     t_max = span;
     bound_flip = true;
   }
-  for (int k = 0; k < m_; ++k) {
-    const double delta = enter_sigma * w[k];  // rate of decrease of xB_k
+  for (int k : w.pattern) {
+    const double delta = enter_sigma * w.values[k];  // xB_k's rate of decrease
     if (std::fabs(delta) < opts_.pivot_eps) continue;
     const int v = basic_[k];
     const double xv = x_[v];
@@ -590,8 +598,8 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
 
   // Apply the step.
   x_[enter] += enter_sigma * t_max;
-  for (int k = 0; k < m_; ++k) {
-    x_[basic_[k]] -= enter_sigma * t_max * w[k];
+  for (int k : w.pattern) {
+    x_[basic_[k]] -= enter_sigma * t_max * w.values[k];
   }
   if (bound_flip) {
     at_upper_[enter] = !at_upper_[enter];
@@ -614,7 +622,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   // update; LU: append an eta vector). The engine declines when its
   // eta file is full or the pivot is too unstable to chain — then a
   // fresh factorization of the *new* basis replaces the whole file.
-  WB_ASSERT_MSG(std::fabs(w[leave_row]) > opts_.pivot_eps,
+  WB_ASSERT_MSG(std::fabs(w.values[leave_row]) > opts_.pivot_eps,
                 "degenerate pivot");
   if (!engine_->update(leave_row, w)) {
     if (!engine_->factorize(cols_, basic_)) {
@@ -650,7 +658,7 @@ bool SimplexState::dual_feasible() {
   // whole re-entry to phase 1. Only a free column (or one whose
   // opposite bound is infinite) with a wrong-signed reduced cost
   // forces the fallback.
-  compute_duals(/*phase1=*/false, y_scratch_);
+  compute_duals(y_scratch_);
   const int n_total = n_struct_ + m_;
   bool ok = true;
   bool flipped = false;
@@ -726,7 +734,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // --- Pivot row rho = B^-T e_r and current duals (for the ratio
   // test's reduced costs).
   engine_->btran_unit(leave_row, rho_scratch_);
-  compute_duals(/*phase1=*/false, y_scratch_);
+  compute_duals(y_scratch_);
   const std::vector<double>& rho = rho_scratch_;
   const std::vector<double>& y = y_scratch_;
 
@@ -846,9 +854,9 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // disagreement means the factorization has drifted too far to trust
   // this pivot — rebuild it and let the caller fall back to phase-1
   // repair.
-  std::vector<double>& w = w_scratch_;
+  IndexedVector& w = w_scratch_;
   engine_->ftran(cols_[enter], w);
-  const double alpha_q = w[leave_row];
+  const double alpha_q = w.values[leave_row];
   if (std::fabs(alpha_q) <= opts_.pivot_eps ||
       alpha_q * (dir * chosen.abar) <= 0.0) {
     if (!engine_->factorize(cols_, basic_)) {
@@ -867,7 +875,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // lands exactly on its violated bound.
   const double t = (x_[leaving] - target) / alpha_q;
   x_[enter] += t;
-  for (int k = 0; k < m_; ++k) x_[basic_[k]] -= t * w[k];
+  for (int k : w.pattern) x_[basic_[k]] -= t * w.values[k];
   x_[leaving] = target;  // snap exactly to stop drift
   at_upper_[leaving] = (dir > 0.0);
   in_basis_[leaving] = -1;

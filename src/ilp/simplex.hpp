@@ -269,9 +269,12 @@ class SimplexState {
   };
 
   [[nodiscard]] double phase1_cost(int var) const;
-  [[nodiscard]] double total_infeasibility() const;
+  /// Loads the phase-1 basic costs into y and returns the total bound
+  /// infeasibility of the basic variables (summed in row order).
+  double load_phase1_costs(std::vector<double>& y) const;
   void recompute_basic_values();
-  void compute_duals(bool phase1, std::vector<double>& y) const;
+  /// y = B^-T cB for the true (phase-2) costs.
+  void compute_duals(std::vector<double>& y) const;
   [[nodiscard]] double reduced_cost_of(int j, bool phase1,
                                        const std::vector<double>& y) const;
   /// Entering-direction sign for column j given reduced cost d, or 0 if
@@ -309,7 +312,7 @@ class SimplexState {
   std::vector<int> candidates_;          ///< partial-pricing list
   mutable std::vector<double> reduced_costs_;  ///< lazy, per basis
   mutable std::vector<double> y_scratch_;      ///< dual scratch (size m)
-  std::vector<double> w_scratch_;        ///< pivot-direction scratch
+  IndexedVector w_scratch_;              ///< pivot direction (FTRAN image)
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
   std::vector<double> rho_scratch_;      ///< dual pivot row B^-T e_r
   std::vector<double> rhs_scratch_;      ///< batched bound-flip rhs

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ilp/basis_lu.hpp"
 #include "ilp/model.hpp"
 
 namespace wishbone::ilp::testgen {
@@ -208,6 +209,87 @@ inline LinearProgram gen_partition_shaped(std::uint32_t seed, bool integral,
     lp.add_constraint(std::move(c));
   }
   return lp;
+}
+
+/// Partition formulation at realistic scale: `vertices` 0/1 placement
+/// indicators f_u (1 = on the node, negative cost: node work is cheap),
+/// one cut variable g_e >= |f_u - f_v| per dataflow edge (cost: its
+/// bandwidth) written as two rows, and one CPU budget row spanning every
+/// indicator, the long row the Fig. 6 instances have. The first vertex
+/// is pinned to the node, the last to the server. With the default
+/// sizes m = 2 * edges + 1 = 301 rows.
+inline LinearProgram gen_partition_at_scale(std::uint32_t seed,
+                                            int vertices = 120,
+                                            int edges = 150) {
+  std::mt19937 rng(seed);
+  LinearProgram lp;
+  std::vector<double> cpu(vertices);
+  for (int u = 0; u < vertices; ++u) {
+    const double lo = u == 0 ? 1.0 : 0.0;
+    const double up = u == vertices - 1 ? 0.0 : 1.0;
+    lp.add_variable("f" + std::to_string(u), lo, up, -grid(rng, 0.1, 1.0),
+                    false);
+    cpu[u] = grid(rng, 0.05, 1.0) + 0.05;
+  }
+  for (int e = 0; e < edges; ++e) {
+    // Mostly forward edges, like a dataflow graph's topological order.
+    const int u = static_cast<int>(rng() % (vertices - 1));
+    const int v = u + 1 + static_cast<int>(rng() % (vertices - 1 - u));
+    const int g = lp.add_variable("g" + std::to_string(e), 0.0, 1.0,
+                                  grid(rng, 0.25, 2.0), false);
+    Constraint fwd;  // g_e >= f_u - f_v
+    fwd.terms = {{g, 1.0}, {u, -1.0}, {v, 1.0}};
+    fwd.rel = Relation::kGe;
+    lp.add_constraint(std::move(fwd));
+    Constraint back;  // g_e >= f_v - f_u
+    back.terms = {{g, 1.0}, {v, -1.0}, {u, 1.0}};
+    back.rel = Relation::kGe;
+    lp.add_constraint(std::move(back));
+  }
+  Constraint budget;
+  double total = 0.0;
+  for (int u = 0; u < vertices; ++u) {
+    budget.terms.emplace_back(u, cpu[u]);
+    total += cpu[u];
+  }
+  budget.rel = Relation::kLe;
+  budget.rhs = std::round(0.4 * total * 64.0) / 64.0;
+  lp.add_constraint(std::move(budget));
+  return lp;
+}
+
+/// The working-form columns SimplexState factorizes for `lp`: each
+/// structural column with its >= rows negated, then one unit slack
+/// column per row (column n + i for row i).
+inline std::vector<SparseColumn> working_columns(const LinearProgram& lp) {
+  const int n = lp.num_variables();
+  const int m = lp.num_constraints();
+  std::vector<SparseColumn> cols(static_cast<std::size_t>(n + m));
+  for (int i = 0; i < m; ++i) {
+    const Constraint& c = lp.constraints()[i];
+    const double sign = c.rel == Relation::kGe ? -1.0 : 1.0;
+    for (const auto& [v, coeff] : c.terms) {
+      cols[v].emplace_back(i, sign * coeff);
+    }
+    cols[n + i].emplace_back(i, 1.0);
+  }
+  return cols;
+}
+
+/// The basis row a pivot walk driven directly on a basis engine lets
+/// leave for direction `w`: the largest |w_i| (the first on ties), or -1
+/// when every entry is below 1e-6 (the column is nearly in the span of
+/// the basis, so the walk tries another).
+inline int largest_entry_row(const IndexedVector& w) {
+  int row = -1;
+  double best = 1e-6;
+  for (int i : w.pattern) {
+    if (std::fabs(w.values[i]) > best) {
+      best = std::fabs(w.values[i]);
+      row = i;
+    }
+  }
+  return row;
 }
 
 /// Market-split-shaped MIP: 0/1 variables split between two equality

@@ -10,12 +10,16 @@
 
 #include <cstddef>
 #include <map>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "apps/eeg.hpp"
 #include "apps/speech.hpp"
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
+#include "ilp/basis_lu.hpp"
+#include "lp_generators.hpp"
 #include "profile/platform.hpp"
 #include "runtime/executor.hpp"
 #include "test_helpers.hpp"
@@ -113,6 +117,80 @@ TEST(AllocFree, SpeechUnderGumstixCutMakesZeroAllocationsPerEvent) {
   ASSERT_GT(ex.stats().cut_frames, 0u) << "the cut crosses no edge";
 
   EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+}
+
+/// The LU basis engine at solver scale: once a pivot walk has grown
+/// every buffer (factor rows, column lists, the eta arena, the FTRAN
+/// reach), replaying the same walk — FTRAN, BTRAN, BTRAN-unit, eta
+/// updates and the refactorizations between chains — and factorizing
+/// the same basis a second time make no heap allocation.
+TEST(AllocFree, LuBasisEngineSteadyStateMakesZeroAllocations) {
+  using namespace ilp;
+  const LinearProgram lp = testgen::gen_partition_at_scale(7);
+  const int m = lp.num_constraints();
+  const int n_total = lp.num_variables() + m;
+  const std::vector<SparseColumn> cols = testgen::working_columns(lp);
+  BasisEngineOptions opts;
+  opts.max_eta = 16;
+  auto lu = make_basis_engine(BasisEngineKind::kLu, m, opts);
+
+  std::vector<int> slack_basis(m);
+  for (int i = 0; i < m; ++i) slack_basis[i] = lp.num_variables() + i;
+  IndexedVector w;
+  std::vector<double> y(m), rho(m);
+  std::vector<int> basic;
+
+  // Replays `walk` (entering column, leaving row) from the slack basis.
+  // Returns false if the engine refused a factorization.
+  auto replay = [&](const std::vector<std::pair<int, int>>& walk) {
+    basic = slack_basis;
+    if (!lu->factorize(cols, basic)) return false;
+    for (const auto& [enter, r] : walk) {
+      lu->ftran(cols[enter], w);
+      for (int i = 0; i < m; ++i) y[i] = static_cast<double>(i % 3) - 1.0;
+      lu->btran(y);
+      lu->btran_unit(r, rho);
+      basic[r] = enter;
+      if (!lu->update(r, w) && !lu->factorize(cols, basic)) return false;
+    }
+    return true;
+  };
+
+  // Record a walk: random entering columns, largest-|w| leaving rows.
+  std::vector<std::pair<int, int>> walk;
+  std::vector<char> in_basis(n_total, 0);
+  for (int v : slack_basis) in_basis[v] = 1;
+  basic = slack_basis;
+  ASSERT_TRUE(lu->factorize(cols, basic));
+  std::mt19937 rng(7);
+  while (walk.size() < 80) {
+    const int enter = static_cast<int>(rng() % n_total);
+    if (in_basis[enter]) continue;
+    lu->ftran(cols[enter], w);
+    const int r = testgen::largest_entry_row(w);
+    if (r < 0) continue;
+    in_basis[basic[r]] = 0;
+    in_basis[enter] = 1;
+    basic[r] = enter;
+    if (!lu->update(r, w)) ASSERT_TRUE(lu->factorize(cols, basic));
+    walk.emplace_back(enter, r);
+  }
+  const std::vector<int> final_basis = basic;
+  ASSERT_TRUE(replay(walk));  // warm-up: every buffer at its final size
+  ASSERT_TRUE(lu->factorize(cols, final_basis));
+  const std::size_t refactorizations = lu->stats().refactorizations;
+
+  const std::size_t a0 = util::allocation_count();
+  const bool refactorized = lu->factorize(cols, final_basis);
+  const std::size_t a1 = util::allocation_count();
+  const bool replayed = replay(walk);
+  const std::size_t a2 = util::allocation_count();
+  ASSERT_TRUE(refactorized);
+  ASSERT_TRUE(replayed);
+  EXPECT_EQ(a1 - a0, 0u) << "second factorize of the same basis";
+  EXPECT_EQ(a2 - a1, 0u) << "replayed pivot walk";
+  EXPECT_GE(lu->stats().refactorizations, refactorizations + 3)
+      << "the walk never ran an eta chain up to a refactorization";
 }
 
 /// Collecting sink output allocates (by design); streaming mode is the

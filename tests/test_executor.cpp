@@ -90,22 +90,11 @@ TEST_P(SpeechCutEquivalence, SinkOutputIndependentOfCut) {
   const auto& ref_frames = ref_out.at(ref_app.sink);
   const auto& frames = out.at(app.sink);
   ASSERT_EQ(ref_frames.size(), frames.size());
-  // Cut 2 ships the hamming output, whose fractional samples quantize
-  // to int16 on the wire — the one cut that is only approximately
-  // equivalent. All other cuts marshal raw integers or float32 and are
-  // bit-exact.
-  const bool exact = cut != 2;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     ASSERT_EQ(ref_frames[i].size(), frames[i].size());
     for (std::size_t k = 0; k < frames[i].size(); ++k) {
-      if (exact) {
-        EXPECT_FLOAT_EQ(ref_frames[i][k], frames[i][k])
-            << "cut " << cut << " frame " << i << " sample " << k;
-      } else {
-        EXPECT_NEAR(ref_frames[i][k], frames[i][k],
-                    0.05 + 0.02 * std::fabs(ref_frames[i][k]))
-            << "cut " << cut << " frame " << i << " sample " << k;
-      }
+      EXPECT_EQ(ref_frames[i][k], frames[i][k])
+          << "cut " << cut << " frame " << i << " sample " << k;
     }
   }
 }

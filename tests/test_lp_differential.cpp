@@ -352,6 +352,17 @@ TEST(LpDifferential, BasisSnapshotsPortAcrossEngines) {
 
 // ----------------------------------------- engine unit: drift triggers
 
+/// A pivot direction as FTRAN hands it over: values plus the ascending
+/// positions of their nonzeros.
+IndexedVector indexed(std::vector<double> values) {
+  IndexedVector w;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != 0.0) w.pattern.push_back(static_cast<int>(i));
+  }
+  w.values = std::move(values);
+  return w;
+}
+
 TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
   // |w_r| tiny relative to max|w|: absorbing this pivot as an eta
   // would amplify error through every later solve — the engine must
@@ -361,7 +372,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
   std::vector<SparseColumn> cols = {
       {{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1, 2}));
-  const std::vector<double> w = {1.0, 1e-12, 0.5};
+  const IndexedVector w = indexed({1.0, 1e-12, 0.5});
   EXPECT_FALSE(eng->update(1, w));           // unstable leave row
   EXPECT_TRUE(eng->update(0, w));            // stable pivot absorbs fine
   EXPECT_EQ(eng->stats().eta_updates, 1u);
@@ -374,7 +385,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesWhenEtaFileFull) {
   auto eng = make_basis_engine(BasisEngineKind::kLu, 2, opts);
   std::vector<SparseColumn> cols = {{{0, 1.0}}, {{1, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1}));
-  const std::vector<double> w = {1.0, 0.25};
+  const IndexedVector w = indexed({1.0, 0.25});
   EXPECT_TRUE(eng->update(0, w));
   EXPECT_TRUE(eng->update(1, w));
   EXPECT_FALSE(eng->update(0, w));  // file full: caller must refactorize
@@ -407,6 +418,107 @@ TEST(BasisEngineUnit, AutoResolvesByRowCount) {
             BasisEngineKind::kLu);
 }
 
+/// LU FTRAN result against the dense engine's: the values agree, the
+/// pattern is strictly ascending and covers every nonzero.
+void expect_ftran_matches(const IndexedVector& dense, const IndexedVector& lu,
+                          const std::string& where) {
+  const std::size_t m = dense.values.size();
+  ASSERT_EQ(lu.values.size(), m) << where;
+  std::vector<char> listed(m, 0);
+  for (std::size_t t = 0; t < lu.pattern.size(); ++t) {
+    const int i = lu.pattern[t];
+    ASSERT_TRUE(i >= 0 && static_cast<std::size_t>(i) < m) << where;
+    if (t > 0) {
+      ASSERT_LT(lu.pattern[t - 1], i) << where << ": pattern not ascending";
+    }
+    listed[i] = 1;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    EXPECT_NEAR(lu.values[i], dense.values[i],
+                1e-8 * (1.0 + std::fabs(dense.values[i])))
+        << where << " i=" << i;
+    if (lu.values[i] != 0.0) {
+      EXPECT_TRUE(listed[i]) << where << ": nonzero " << i << " not listed";
+    }
+  }
+}
+
+TEST(LpDifferential, LuEngineMatchesDenseThroughEtaChainsAtScale) {
+  // Partition-shaped bases at realistic scale (m = 301, one budget row
+  // spanning every indicator), driven pivot by pivot through both
+  // engines: eta chains grow until the LU engine's file is full and it
+  // refactorizes the walk's current basis, several times over. Every
+  // FTRAN (sparse and dense right-hand side), BTRAN and pivot row is
+  // compared with the dense oracle.
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    const LinearProgram lp = testgen::gen_partition_at_scale(seed);
+    const int m = lp.num_constraints();
+    ASSERT_GE(m, 200);
+    const int n_total = lp.num_variables() + m;
+    const std::vector<SparseColumn> cols = testgen::working_columns(lp);
+    BasisEngineOptions opts;
+    opts.max_eta = 24;
+    auto dense = make_basis_engine(BasisEngineKind::kDense, m, opts);
+    auto lu = make_basis_engine(BasisEngineKind::kLu, m, opts);
+    std::vector<int> basic(m);
+    std::vector<char> in_basis(n_total, 0);
+    for (int i = 0; i < m; ++i) {
+      basic[i] = lp.num_variables() + i;
+      in_basis[basic[i]] = 1;
+    }
+    std::mt19937 rng(seed);
+    IndexedVector wd, wl;
+    std::vector<double> rd, rl, yd(m), yl;
+    int pivots = 0;
+    for (int step = 0; step < 240; ++step) {
+      const std::string where =
+          "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
+      const int enter = static_cast<int>(rng() % n_total);
+      if (in_basis[enter]) continue;
+      dense->ftran(cols[enter], wd);
+      lu->ftran(cols[enter], wl);
+      expect_ftran_matches(wd, wl, where);
+      for (int i = 0; i < m; ++i) yd[i] = grid(rng, -1.0, 1.0);
+      yl = yd;
+      dense->btran(yd);
+      lu->btran(yl);
+      rd = yd;  // dense right-hand side for ftran_dense
+      rl = yd;
+      dense->ftran_dense(rd);
+      lu->ftran_dense(rl);
+      for (int i = 0; i < m; ++i) {
+        EXPECT_NEAR(yl[i], yd[i], 1e-8 * (1.0 + std::fabs(yd[i])))
+            << where << " btran i=" << i;
+        EXPECT_NEAR(rl[i], rd[i], 1e-8 * (1.0 + std::fabs(rd[i])))
+            << where << " ftran_dense i=" << i;
+      }
+      const int r = testgen::largest_entry_row(wl);
+      if (r < 0) continue;
+      dense->btran_unit(r, rd);
+      lu->btran_unit(r, rl);
+      for (int i = 0; i < m; ++i) {
+        EXPECT_NEAR(rl[i], rd[i], 1e-8 * (1.0 + std::fabs(rd[i])))
+            << where << " btran_unit i=" << i;
+      }
+      in_basis[basic[r]] = 0;
+      basic[r] = enter;
+      in_basis[enter] = 1;
+      ASSERT_TRUE(dense->update(r, wd)) << where;
+      if (!lu->update(r, wl)) {
+        // Refresh the oracle with the LU engine so neither carries the
+        // other's accumulated update error into the next chain.
+        ASSERT_TRUE(lu->factorize(cols, basic)) << where;
+        ASSERT_TRUE(dense->factorize(cols, basic)) << where;
+      }
+      ++pivots;
+    }
+    EXPECT_GE(pivots, 100) << "seed=" << seed;
+    EXPECT_GE(lu->stats().refactorizations, 3u)
+        << "seed=" << seed
+        << ": the eta chains never reached a refactorization";
+  }
+}
+
 TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
   // Same factorized basis, same right-hand sides: the two engines'
   // FTRAN/BTRAN must agree to near machine precision.
@@ -434,11 +546,11 @@ TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
     for (int i = 0; i < m; ++i) {
       if (rng() % 2) a.emplace_back(i, grid_nz(rng, -2, 2));
     }
-    std::vector<double> fd, fl;
+    IndexedVector fd, fl;
     dense->ftran(a, fd);
     lu->ftran(a, fl);
     for (int i = 0; i < m; ++i) {
-      EXPECT_NEAR(fd[i], fl[i], 1e-8) << "t=" << t << " i=" << i;
+      EXPECT_NEAR(fd.values[i], fl.values[i], 1e-8) << "t=" << t << " i=" << i;
     }
 
     std::vector<double> yd(m), yl;
