@@ -131,7 +131,9 @@ int main(int argc, char** argv) {
   std::vector<double> discover, prove, objectives, proved, point_nodes,
       point_iters, point_wall, point_refacs, point_etas, point_steals,
       point_reloads, point_idle, point_dual_reentries, point_fallbacks,
-      point_ftran_calls, point_ftran_nnz, point_factor_entries;
+      point_ftran_calls, point_ftran_nnz, point_factor_entries,
+      point_btran_calls, point_btran_unit_calls, point_btran_unit_nnz,
+      point_rc_rebuilds;
   std::size_t feasible = 0;
   std::size_t censored = 0;
   std::size_t total_nodes = 0;
@@ -195,6 +197,13 @@ int main(int argc, char** argv) {
     point_ftran_nnz.push_back(static_cast<double>(r.solver.ftran_nnz));
     point_factor_entries.push_back(
         static_cast<double>(r.solver.factor_row_entries));
+    point_btran_calls.push_back(static_cast<double>(r.solver.btran_calls));
+    point_btran_unit_calls.push_back(
+        static_cast<double>(r.solver.btran_unit_calls));
+    point_btran_unit_nnz.push_back(
+        static_cast<double>(r.solver.btran_unit_nnz));
+    point_rc_rebuilds.push_back(
+        static_cast<double>(r.solver.reduced_cost_rebuilds));
     point_steals.push_back(static_cast<double>(r.solver.steals));
     point_reloads.push_back(static_cast<double>(r.solver.snapshot_reloads));
     point_idle.push_back(r.solver.idle_s_total);
@@ -271,17 +280,25 @@ int main(int argc, char** argv) {
               "eta-file peak %zu\n",
               total_refacs, total_etas, eta_len_peak);
   {
-    double calls = 0.0, nnz = 0.0, entries = 0.0;
-    for (std::size_t p = 0; p < point_ftran_calls.size(); ++p) {
-      calls += point_ftran_calls[p];
-      nnz += point_ftran_nnz[p];
-      entries += point_factor_entries[p];
-    }
+    const auto sum = [](const std::vector<double>& v) {
+      double s = 0.0;
+      for (double x : v) s += x;
+      return s;
+    };
+    const auto per = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
+    const double calls = sum(point_ftran_calls);
+    const double btrans = sum(point_btran_calls);
+    const double units = sum(point_btran_unit_calls);
     std::printf("engine work: %.0f FTRANs, %.1f result nonzeros each; "
-                "%.0f row entries per factorization\n",
-                calls, calls > 0.0 ? nnz / calls : 0.0,
-                total_refacs > 0 ? entries / static_cast<double>(total_refacs)
-                                 : 0.0);
+                "%.0f row entries per factorization; %.0f full BTRANs "
+                "(%.4f per LP iteration), %.0f reduced-cost rebuilds; "
+                "%.0f BTRAN-units, %.1f result nonzeros each\n",
+                calls, per(sum(point_ftran_nnz), calls),
+                per(sum(point_factor_entries),
+                    static_cast<double>(total_refacs)),
+                btrans, per(btrans, static_cast<double>(total_lp_iters)),
+                sum(point_rc_rebuilds), units,
+                per(sum(point_btran_unit_nnz), units));
   }
   std::printf("re-entry (%s): %zu dual re-entries, %zu "
               "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
@@ -348,14 +365,21 @@ int main(int argc, char** argv) {
   // ftran_nnz / ftran_calls is the mean FTRAN result size (the work
   // FTRAN does follows it); factor_row_entries divided by
   // refactorizations_per_point (above) is the elimination's row-update
-  // work per factorization.
+  // work per factorization; btran_calls divided by
+  // lp_iterations_per_point is the full BTRANs per iteration (the
+  // reduced-cost rebuilds are among them); btran_unit_nnz /
+  // btran_unit_calls is the mean pivot-row rho size.
   {
     obs::JsonWriter b(/*pretty=*/true);
     b.begin_object();
     const std::pair<const char*, const std::vector<double>*> arrays[] = {
         {"ftran_calls_per_point", &point_ftran_calls},
         {"ftran_nnz_per_point", &point_ftran_nnz},
-        {"factor_row_entries_per_point", &point_factor_entries}};
+        {"factor_row_entries_per_point", &point_factor_entries},
+        {"btran_calls_per_point", &point_btran_calls},
+        {"btran_unit_calls_per_point", &point_btran_unit_calls},
+        {"btran_unit_nnz_per_point", &point_btran_unit_nnz},
+        {"reduced_cost_rebuilds_per_point", &point_rc_rebuilds}};
     for (const auto& [name, vs] : arrays) {
       b.key(name).begin_array();
       for (double v : *vs) b.value(v);

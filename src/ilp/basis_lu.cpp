@@ -134,12 +134,19 @@ class DenseBasisEngine final : public BasisEngine {
       for (int k = 0; k < m_; ++k) tmp[k] += cb * at(i, k);
     }
     y = tmp;
+    ++stats_.btran_calls;
   }
 
-  void btran_unit(int r, std::vector<double>& out) const override {
+  void btran_unit(int r, IndexedVector& out) const override {
     // e_r^T * Binv is literally row r of the explicit inverse.
-    out.resize(m_);
-    for (int k = 0; k < m_; ++k) out[k] = at(r, k);
+    out.values.resize(m_);
+    out.pattern.clear();
+    for (int k = 0; k < m_; ++k) {
+      out.values[k] = at(r, k);
+      if (out.values[k] != 0.0) out.pattern.push_back(k);
+    }
+    ++stats_.btran_unit_calls;
+    stats_.btran_unit_nnz += out.pattern.size();
   }
 
   [[nodiscard]] bool update(int leave_row, const IndexedVector& iw) override {
@@ -214,7 +221,11 @@ constexpr double kFactorDrop = 1e-14;
 /// uses (ascending steps for L and the etas, descending for U, the same
 /// row-wise U dot products). Every nonzero it produces is therefore bit
 /// for bit the one the dense passes would produce, and the solve costs
-/// O(reach) instead of O(m). All storage keeps its capacity across calls.
+/// O(reach) instead of O(m). BTRAN-unit mirrors it for e_r: the etas
+/// that read a nonzero (through a flat, append-only position -> etas
+/// index), then the reach through U^T (the U rows themselves) and L^T
+/// (a row-wise index of L), with the numeric passes in the dense
+/// BTRAN's order. All storage keeps its capacity across calls.
 class LuBasisEngine final : public BasisEngine {
  public:
   LuBasisEngine(int m, const BasisEngineOptions& opts) : m_(m), opts_(opts) {
@@ -232,10 +243,14 @@ class LuBasisEngine final : public BasisEngine {
     colrows_.resize(mz);
     colcount_.resize(mz);
     buckets_.resize(mz + 1);
+    step_of_col_.resize(mz);
+    lrow_start_.assign(mz + 1, 0);
+    eta_head_.assign(mz, -1);
     work_.assign(mz, 0.0);
     step_mark_.assign(mz, 0);
     pos_mark_.assign(mz, 0);
     reach_.reserve(mz);
+    cols_nz_.reserve(mz);
     btran_z_.resize(mz);
     set_identity();
   }
@@ -249,6 +264,7 @@ class LuBasisEngine final : public BasisEngine {
       p_[k] = k;
       q_[k] = k;
       step_of_row_[k] = k;
+      step_of_col_[k] = k;
       diag_[k] = 1.0;
     }
     l_start_.assign(static_cast<std::size_t>(m_) + 1, 0);
@@ -259,6 +275,8 @@ class LuBasisEngine final : public BasisEngine {
     u_val_.clear();
     std::fill(ucol_start_.begin(), ucol_start_.end(), 0);
     ucol_step_.clear();
+    std::fill(lrow_start_.begin(), lrow_start_.end(), 0);
+    lrow_step_.clear();
     clear_etas();
     stats_.factor_nnz = static_cast<std::size_t>(m_);
   }
@@ -289,6 +307,87 @@ class LuBasisEngine final : public BasisEngine {
   }
 
   void btran(std::vector<double>& y) const override {
+    dense_btran(y);
+    ++stats_.btran_calls;
+  }
+
+  void btran_unit(int r, IndexedVector& out) const override;
+
+  [[nodiscard]] bool update(int leave_row, const IndexedVector& w) override {
+    if (eta_r_.size() >= opts_.max_eta) return false;  // file full
+    double wmax = 0.0;
+    for (int i : w.pattern) wmax = std::max(wmax, std::fabs(w.values[i]));
+    const double wr = w.values[leave_row];
+    // Drift guard: a pivot tiny relative to the direction it came from
+    // would amplify error through every later eta application.
+    if (std::fabs(wr) <= opts_.pivot_eps ||
+        std::fabs(wr) < opts_.eta_stab * wmax) {
+      return false;
+    }
+    const int e = static_cast<int>(eta_r_.size());
+    eta_r_.push_back(leave_row);
+    eta_wr_.push_back(wr);
+    if (eta_mark_.size() < eta_r_.size()) eta_mark_.push_back(0);
+    link_eta(leave_row, e);
+    for (int i : w.pattern) {
+      const double wi = w.values[i];
+      if (i != leave_row && std::fabs(wi) > opts_.eta_drop) {
+        eta_idx_.push_back(i);
+        eta_val_.push_back(wi);
+        link_eta(i, e);
+      }
+    }
+    eta_start_.push_back(static_cast<int>(eta_idx_.size()));
+    ++stats_.eta_updates;
+    stats_.eta_len = eta_r_.size();
+    stats_.eta_len_peak = std::max(stats_.eta_len_peak, stats_.eta_len);
+    return true;
+  }
+
+ private:
+  void clear_etas() {
+    eta_r_.clear();
+    eta_wr_.clear();
+    eta_start_.assign(1, 0);
+    eta_idx_.clear();
+    eta_val_.clear();
+    std::fill(eta_head_.begin(), eta_head_.end(), -1);
+    link_eta_.clear();
+    link_next_.clear();
+    stats_.eta_len = 0;
+  }
+
+  /// Records that eta e reads basis position i (BTRAN-unit's index).
+  void link_eta(int i, int e) {
+    link_eta_.push_back(e);
+    link_next_.push_back(eta_head_[i]);
+    eta_head_[i] = static_cast<int>(link_eta_.size()) - 1;
+  }
+
+  /// Starts a solve: a fresh mark stamp and an empty reach.
+  void begin_solve() const {
+    next_stamp();
+    reach_.clear();
+  }
+
+  void next_stamp() const {
+    if (++stamp_ == 0) {  // wrapped: no stale mark may equal a new stamp
+      std::fill(step_mark_.begin(), step_mark_.end(), 0);
+      std::fill(pos_mark_.begin(), pos_mark_.end(), 0);
+      std::fill(eta_mark_.begin(), eta_mark_.end(), 0);
+      stamp_ = 1;
+    }
+  }
+
+  void reach_step(int k) const {
+    if (step_mark_[k] == stamp_) return;
+    step_mark_[k] = stamp_;
+    reach_.push_back(k);
+  }
+
+  /// The dense BTRAN pass, in place: y^T <- y^T B^-1 over every eta,
+  /// U step and L step.
+  void dense_btran(std::vector<double>& y) const {
     // Eta file in reverse: c^T <- c^T E^-1 touches only component r.
     for (std::size_t e = eta_r_.size(); e-- > 0;) {
       const int r = eta_r_[e];
@@ -322,65 +421,6 @@ class LuBasisEngine final : public BasisEngine {
     y.swap(z);
   }
 
-  void btran_unit(int r, std::vector<double>& out) const override {
-    out.assign(m_, 0.0);
-    out[r] = 1.0;
-    btran(out);
-  }
-
-  [[nodiscard]] bool update(int leave_row, const IndexedVector& w) override {
-    if (eta_r_.size() >= opts_.max_eta) return false;  // file full
-    double wmax = 0.0;
-    for (int i : w.pattern) wmax = std::max(wmax, std::fabs(w.values[i]));
-    const double wr = w.values[leave_row];
-    // Drift guard: a pivot tiny relative to the direction it came from
-    // would amplify error through every later eta application.
-    if (std::fabs(wr) <= opts_.pivot_eps ||
-        std::fabs(wr) < opts_.eta_stab * wmax) {
-      return false;
-    }
-    eta_r_.push_back(leave_row);
-    eta_wr_.push_back(wr);
-    for (int i : w.pattern) {
-      const double wi = w.values[i];
-      if (i != leave_row && std::fabs(wi) > opts_.eta_drop) {
-        eta_idx_.push_back(i);
-        eta_val_.push_back(wi);
-      }
-    }
-    eta_start_.push_back(static_cast<int>(eta_idx_.size()));
-    ++stats_.eta_updates;
-    stats_.eta_len = eta_r_.size();
-    stats_.eta_len_peak = std::max(stats_.eta_len_peak, stats_.eta_len);
-    return true;
-  }
-
- private:
-  void clear_etas() {
-    eta_r_.clear();
-    eta_wr_.clear();
-    eta_start_.assign(1, 0);
-    eta_idx_.clear();
-    eta_val_.clear();
-    stats_.eta_len = 0;
-  }
-
-  /// Starts a solve: a fresh mark stamp and an empty reach.
-  void begin_solve() const {
-    if (++stamp_ == 0) {  // wrapped: no stale mark may equal a new stamp
-      std::fill(step_mark_.begin(), step_mark_.end(), 0);
-      std::fill(pos_mark_.begin(), pos_mark_.end(), 0);
-      stamp_ = 1;
-    }
-    reach_.clear();
-  }
-
-  void reach_step(int k) const {
-    if (step_mark_[k] == stamp_) return;
-    step_mark_[k] = stamp_;
-    reach_.push_back(k);
-  }
-
   /// Sorts `list` — the distinct indices whose `marks` carry the
   /// current stamp — ascending. Past a sixteenth of m a scan of the
   /// marks is cheaper than a comparison sort; both give the same list.
@@ -396,6 +436,9 @@ class LuBasisEngine final : public BasisEngine {
     }
   }
 
+  /// btran_unit over the reach of e_r only.
+  void hyper_btran_unit(int r, IndexedVector& out) const;
+
   /// B^-1 applied to the row-space right-hand side in work_, whose
   /// nonzero rows' pivot steps are in reach_; the result replaces `out`
   /// and work_ is left all-zero.
@@ -409,6 +452,7 @@ class LuBasisEngine final : public BasisEngine {
   std::vector<int> p_;            ///< p_[k] = pivot row of step k
   std::vector<int> q_;            ///< q_[k] = pivot column of step k
   std::vector<int> step_of_row_;  ///< inverse of p_
+  std::vector<int> step_of_col_;  ///< inverse of q_
   std::vector<double> diag_;      ///< pivot values
   /// L_k: the multipliers (row, mult) of step k are
   /// (l_idx_, l_val_)[l_start_[k] .. l_start_[k+1]); U_k, the pivot row
@@ -420,6 +464,9 @@ class LuBasisEngine final : public BasisEngine {
   /// Column-wise index of U (CSR): the steps whose U row holds column j
   /// are ucol_step_[ucol_start_[j] .. ucol_start_[j+1]).
   std::vector<int> ucol_start_, ucol_step_, ucol_next_;
+  /// Row-wise index of L (CSR): the steps whose multipliers include row
+  /// i are lrow_step_[lrow_start_[i] .. lrow_start_[i+1]).
+  std::vector<int> lrow_start_, lrow_step_;
 
   // Eta file as one arena: eta e replaced basis row eta_r_[e] with
   // pivot eta_wr_[e]; its off-pivot entries are
@@ -429,6 +476,10 @@ class LuBasisEngine final : public BasisEngine {
   std::vector<int> eta_start_;
   std::vector<int> eta_idx_;
   std::vector<double> eta_val_;
+  /// Which etas read basis position i (its pivot position or an
+  /// off-pivot entry): a list through the flat, append-only link
+  /// arrays, newest eta first, starting at eta_head_[i] (-1 = none).
+  std::vector<int> eta_head_, link_eta_, link_next_;
 
   // Factorization workspace (persists across refactorizations). Row
   // entries with column -1 are tombstones; colrows_[j] holds (row,
@@ -445,9 +496,11 @@ class LuBasisEngine final : public BasisEngine {
 
   // Solve workspace: work_ is all-zero between calls.
   mutable std::vector<double> work_;
-  mutable std::vector<std::uint32_t> step_mark_, pos_mark_;
+  mutable std::vector<std::uint32_t> step_mark_, pos_mark_, eta_mark_;
   mutable std::uint32_t stamp_ = 0;
   mutable std::vector<int> reach_;
+  mutable std::vector<int> cols_nz_;  ///< BTRAN-unit: positions the etas hit
+  mutable double unit_density_ = 0.0;  ///< recent BTRAN-unit nnz / m
   mutable IndexedVector dense_out_;
   mutable std::vector<double> btran_z_;
 };
@@ -515,6 +568,116 @@ void LuBasisEngine::solve(IndexedVector& out) const {
       }
     }
     sol[r] = t;
+  }
+  sort_marked(out.pattern, pos_mark_);
+}
+
+void LuBasisEngine::btran_unit(int r, IndexedVector& out) const {
+  // A dense result makes the reach bookkeeping pure overhead (the dual
+  // loop's rows run ~58% dense on the Fig. 6 sweep, the primal loop's
+  // ~5%). Past kHyperDensity, predicted from recent calls, run the
+  // dense pass on e_r instead; both give the same values.
+  constexpr double kHyperDensity = 0.10;
+  if (unit_density_ > kHyperDensity) {
+    std::vector<double>& z = out.values;
+    z.assign(m_, 0.0);
+    z[r] = 1.0;
+    dense_btran(z);
+    out.pattern.clear();
+    for (int i = 0; i < m_; ++i) {
+      if (z[i] != 0.0) out.pattern.push_back(i);
+    }
+  } else {
+    hyper_btran_unit(r, out);
+  }
+  unit_density_ = 0.9 * unit_density_ +
+                  0.1 * static_cast<double>(out.pattern.size()) / m_;
+  ++stats_.btran_unit_calls;
+  stats_.btran_unit_nnz += out.pattern.size();
+}
+
+void LuBasisEngine::hyper_btran_unit(int r, IndexedVector& out) const {
+  begin_solve();
+  // Eta file in reverse, over the etas that read a nonzero position
+  // only. A position turning nonzero marks every eta that reads it;
+  // the ones newer than the current eta were already passed (the
+  // position was zero then), so marking them is harmless.
+  std::vector<double>& y = work_;  // basis-position space
+  y[r] = 1.0;
+  pos_mark_[r] = stamp_;
+  cols_nz_.clear();
+  cols_nz_.push_back(r);
+  auto mark_readers = [&](int i) {
+    for (int l = eta_head_[i]; l >= 0; l = link_next_[l]) {
+      eta_mark_[link_eta_[l]] = stamp_;
+    }
+  };
+  mark_readers(r);
+  for (std::size_t e = eta_r_.size(); e-- > 0;) {
+    if (eta_mark_[e] != stamp_) continue;
+    const int er = eta_r_[e];
+    const double wr = eta_wr_[e];
+    double s = y[er] * wr;
+    for (int t = eta_start_[e]; t < eta_start_[e + 1]; ++t) {
+      s += y[eta_idx_[t]] * eta_val_[t];
+    }
+    y[er] -= (s - y[er]) / wr;
+    if (pos_mark_[er] != stamp_) {
+      pos_mark_[er] = stamp_;
+      cols_nz_.push_back(er);
+      mark_readers(er);
+    }
+  }
+  // U^T reach: position j is solved at step step_of_col_[j], whose U
+  // row feeds the later steps of its columns.
+  for (int j : cols_nz_) reach_step(step_of_col_[j]);
+  for (std::size_t h = 0; h < reach_.size(); ++h) {
+    const int k = reach_[h];
+    for (int t = u_start_[k]; t < u_start_[k + 1]; ++t) {
+      reach_step(step_of_col_[u_idx_[t]]);
+    }
+  }
+  sort_marked(reach_, step_mark_);
+  std::vector<double>& z = out.values;  // row space
+  if (z.size() != static_cast<std::size_t>(m_)) {
+    z.assign(m_, 0.0);
+  } else {
+    for (int i : out.pattern) z[i] = 0.0;
+  }
+  // U^T pass, ascending steps. Reading y[q_k] also clears it: only
+  // earlier steps write position q_k, so work_ ends all-zero.
+  for (int k : reach_) {
+    const double zk = y[q_[k]] / diag_[k];
+    y[q_[k]] = 0.0;
+    z[p_[k]] = zk;
+    if (zk == 0.0) continue;
+    for (int t = u_start_[k]; t < u_start_[k + 1]; ++t) {
+      y[u_idx_[t]] -= u_val_[t] * zk;
+    }
+  }
+  // L^T reach: a nonzero in row i feeds every earlier step whose
+  // multipliers include row i.
+  for (std::size_t h = 0; h < reach_.size(); ++h) {
+    const int i = p_[reach_[h]];
+    for (int t = lrow_start_[i]; t < lrow_start_[i + 1]; ++t) {
+      reach_step(lrow_step_[t]);
+    }
+  }
+  sort_marked(reach_, step_mark_);
+  // L^T pass, descending steps.
+  for (auto it = reach_.rbegin(); it != reach_.rend(); ++it) {
+    const int k = *it;
+    double acc = z[p_[k]];
+    for (int t = l_start_[k]; t < l_start_[k + 1]; ++t) {
+      acc -= l_val_[t] * z[l_idx_[t]];
+    }
+    z[p_[k]] = acc;
+  }
+  next_stamp();
+  out.pattern.clear();
+  for (int k : reach_) {
+    pos_mark_[p_[k]] = stamp_;
+    out.pattern.push_back(p_[k]);
   }
   sort_marked(out.pattern, pos_mark_);
 }
@@ -688,8 +851,12 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
   l_start_[m_] = static_cast<int>(l_idx_.size());
   u_start_[m_] = static_cast<int>(u_idx_.size());
 
-  // Inverse row order and the column-wise index of U, for FTRAN's reach.
-  for (int k = 0; k < m_; ++k) step_of_row_[p_[k]] = k;
+  // Inverse pivot orders, the column-wise index of U (FTRAN's reach)
+  // and the row-wise index of L (BTRAN-unit's reach).
+  for (int k = 0; k < m_; ++k) {
+    step_of_row_[p_[k]] = k;
+    step_of_col_[q_[k]] = k;
+  }
   std::fill(ucol_start_.begin(), ucol_start_.end(), 0);
   for (int j : u_idx_) ++ucol_start_[j + 1];
   for (int j = 0; j < m_; ++j) ucol_start_[j + 1] += ucol_start_[j];
@@ -698,6 +865,16 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
   for (int k = 0; k < m_; ++k) {
     for (int t = u_start_[k]; t < u_start_[k + 1]; ++t) {
       ucol_step_[ucol_next_[u_idx_[t]]++] = k;
+    }
+  }
+  std::fill(lrow_start_.begin(), lrow_start_.end(), 0);
+  for (int i : l_idx_) ++lrow_start_[i + 1];
+  for (int i = 0; i < m_; ++i) lrow_start_[i + 1] += lrow_start_[i];
+  lrow_step_.resize(l_idx_.size());
+  std::copy(lrow_start_.begin(), lrow_start_.end() - 1, ucol_next_.begin());
+  for (int k = 0; k < m_; ++k) {
+    for (int t = l_start_[k]; t < l_start_[k + 1]; ++t) {
+      lrow_step_[ucol_next_[l_idx_[t]]++] = k;
     }
   }
   stats_.factor_nnz =

@@ -5,9 +5,9 @@
 //
 //   factorize   rebuild the factorization from the basis columns
 //   ftran       x = B^-1 a            (pivot directions, basic values)
-//   btran       y = B^-T c            (duals / pricing)
-//   btran_unit  rho = B^-T e_r        (row r of B^-1: the dual simplex
-//               pivot row and the steepest-edge row norms)
+//   btran       y = B^-T c            (duals: rebuilding the reduced costs)
+//   btran_unit  rho = B^-T e_r        (row r of B^-1: the pivot row both
+//               simplex loops update the reduced costs from)
 //   update      absorb one pivot: column `leave_row` of B replaced by
 //               the entering column whose FTRAN image is `w`
 //
@@ -23,10 +23,11 @@
 //    rebuilt only when the eta file hits `max_eta` or a pivot is too
 //    unstable to absorb (update() returns false and the caller
 //    refactorizes). Its work follows the nonzeros it touches, not m:
-//    FTRAN costs O(reach) (the symbolic reach of the right-hand side
-//    through L, U and the eta file), update() O(nnz(w)), and
-//    factorize() updates the active rows in place. BTRAN stays a dense
-//    O(m + nnz(L) + nnz(U) + nnz(etas)) pass.
+//    FTRAN and BTRAN-unit cost O(reach) (the symbolic reach of the
+//    right-hand side through L, U and the eta file), update()
+//    O(nnz(w)), and factorize() updates the active rows in place. Only
+//    the full BTRAN, which the simplex runs when it rebuilds its reduced
+//    costs, stays a dense O(m + nnz(L) + nnz(U) + nnz(etas)) pass.
 //
 // The engines are numerically interchangeable; the randomized
 // differential harness (tests/test_lp_differential.cpp) pits them
@@ -45,9 +46,10 @@ using SparseColumn = std::vector<std::pair<int, double>>;
 
 /// A dense m-vector plus the ascending list of the positions that may
 /// hold a nonzero; every entry outside `pattern` is exactly zero. FTRAN
-/// returns its result in this form so the simplex loops (ratio tests,
-/// basic-value step, eta update) walk the pattern instead of 0..m-1 —
-/// in ascending order, so ties break exactly as a dense walk would.
+/// and BTRAN-unit return their results in this form so the simplex
+/// loops (ratio tests, basic-value step, eta update, pivot row) walk
+/// the pattern instead of 0..m-1 — in ascending order, so ties break
+/// and sums accumulate exactly as a dense walk would.
 struct IndexedVector {
   std::vector<double> values;
   std::vector<int> pattern;
@@ -77,10 +79,14 @@ struct BasisEngineStats {
   /// Work counts (deterministic, no clocks): sparse-column FTRANs, the
   /// summed size of their result patterns, and the entries factorize()'s
   /// row updates visit — row entries updated, cancelled or filled in,
-  /// plus the column-list entries scanned to find them.
+  /// plus the column-list entries scanned to find them; full BTRANs;
+  /// BTRAN-units and the summed size of their result patterns.
   std::size_t ftran_calls = 0;
   std::size_t ftran_nnz = 0;
   std::size_t factor_row_entries = 0;
+  std::size_t btran_calls = 0;
+  std::size_t btran_unit_calls = 0;
+  std::size_t btran_unit_nnz = 0;
 };
 
 struct BasisEngineOptions {
@@ -120,10 +126,12 @@ class BasisEngine {
   virtual void btran(std::vector<double>& y) const = 0;
 
   /// out = B^-T e_r — row r of the basis inverse (rho^T = e_r^T B^-1),
-  /// the dual simplex pivot row; out is assigned size m. The dense
-  /// engine reads the row straight out of its explicit inverse; the LU
-  /// engine runs a unit vector through the full BTRAN path.
-  virtual void btran_unit(int r, std::vector<double>& out) const = 0;
+  /// from which the simplex builds its pivot row. Same `out` contract as
+  /// ftran: the pattern lists, strictly ascending, a superset of the
+  /// nonzeros. The dense engine reads the row straight out of its
+  /// explicit inverse; the LU engine runs a hypersparse BTRAN that
+  /// visits only the etas, U steps and L steps e_r can reach.
+  virtual void btran_unit(int r, IndexedVector& out) const = 0;
 
   /// Absorbs a pivot: basis column `leave_row` replaced by the column
   /// whose FTRAN image is `w` (the simplex pivot direction, as ftran

@@ -133,8 +133,10 @@ struct MipResult {
   /// many pivots the eta file absorbed, and its peak length. Dense
   /// engine: eta fields stay 0. The work counts follow each layer of
   /// the engine: sparse-column FTRANs and their summed result-pattern
-  /// sizes, and the entries factorize()'s row updates visit (see
-  /// BasisEngineStats).
+  /// sizes, the entries factorize()'s row updates visit, full BTRANs,
+  /// and BTRAN-units with their summed result-pattern sizes (see
+  /// BasisEngineStats); plus the simplex's full reduced-cost rebuilds
+  /// (SimplexTelemetry), each of which is one of the full BTRANs.
   BasisEngineKind basis_engine = BasisEngineKind::kDense;
   std::size_t basis_refactorizations = 0;
   std::size_t eta_updates = 0;
@@ -142,6 +144,10 @@ struct MipResult {
   std::size_t ftran_calls = 0;
   std::size_t ftran_nnz = 0;
   std::size_t factor_row_entries = 0;
+  std::size_t btran_calls = 0;
+  std::size_t btran_unit_calls = 0;
+  std::size_t btran_unit_nnz = 0;
+  std::size_t reduced_cost_rebuilds = 0;
   /// True when MipOptions::warm_basis was present, well-shaped, and
   /// factorized cleanly (false = the solve fell back to a cold basis).
   bool warm_basis_loaded = false;

@@ -218,6 +218,10 @@ class Search {
       res.ftran_calls += e.basis.ftran_calls;
       res.ftran_nnz += e.basis.ftran_nnz;
       res.factor_row_entries += e.basis.factor_row_entries;
+      res.btran_calls += e.basis.btran_calls;
+      res.btran_unit_calls += e.basis.btran_unit_calls;
+      res.btran_unit_nnz += e.basis.btran_unit_nnz;
+      res.reduced_cost_rebuilds += e.tel.reduced_cost_rebuilds;
       res.dual_reentries += e.tel.dual_reentries;
       res.phase1_reentries += e.tel.phase1_reentries;
       res.phase1_fallbacks += e.tel.phase1_fallbacks;

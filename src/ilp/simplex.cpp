@@ -38,6 +38,10 @@ SimplexState::SimplexState(const LinearProgram& lp,
   b_.resize(m_, 0.0);
   reduced_costs_.assign(n_struct_, 0.0);
   y_scratch_.assign(m_, 0.0);
+  d_.assign(n_total, 0.0);
+  c1_.assign(m_, 0.0);
+  alpha_.values.assign(n_total, 0.0);
+  alpha_in_.assign(n_total, 0);
 
   for (int j = 0; j < n_struct_; ++j) {
     lo_[j] = lp.lower(j);
@@ -66,6 +70,24 @@ SimplexState::SimplexState(const LinearProgram& lp,
     cols_[slack].emplace_back(i, 1.0);
     lo_[slack] = 0.0;
     up_[slack] = (c.rel == Relation::kEq) ? 0.0 : kInf;
+  }
+  // Row-wise copy for the pivot rows; columns are visited in ascending
+  // order, so each row lists its columns ascending.
+  row_start_.assign(m_ + 1, 0);
+  for (const auto& col : cols_) {
+    for (const auto& [row, coeff] : col) ++row_start_[row + 1];
+  }
+  for (int i = 0; i < m_; ++i) row_start_[i + 1] += row_start_[i];
+  row_col_.resize(row_start_[m_]);
+  row_val_.resize(row_start_[m_]);
+  {
+    std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
+    for (int j = 0; j < n_total; ++j) {
+      for (const auto& [row, coeff] : cols_[j]) {
+        row_col_[next[row]] = j;
+        row_val_[next[row]++] = coeff;
+      }
+    }
   }
 
   BasisEngineOptions bopts;
@@ -116,6 +138,7 @@ void SimplexState::reset() {
   recompute_basic_values();
   basics_dirty_ = false;
   reduced_costs_valid_ = false;
+  d_costs_ = Costs::kNone;
 }
 
 void SimplexState::snap_nonbasic(int j) {
@@ -242,6 +265,7 @@ bool SimplexState::load_basis(const Basis& basis) {
   recompute_basic_values();
   basics_dirty_ = false;
   reduced_costs_valid_ = false;
+  d_costs_ = Costs::kNone;
   return true;
 }
 
@@ -251,21 +275,18 @@ double SimplexState::phase1_cost(int var) const {
   return 0.0;
 }
 
-double SimplexState::load_phase1_costs(std::vector<double>& y) const {
-  y.resize(m_);
-  double s = 0.0;
+void SimplexState::load_phase1_costs() {
+  infeasible_rows_ = 0;
   for (int i = 0; i < m_; ++i) {
-    const int v = basic_[i];
-    y[i] = phase1_cost(v);
-    s += std::max(0.0, x_[v] - up_[v]);
-    s += std::max(0.0, lo_[v] - x_[v]);
+    c1_[i] = phase1_cost(basic_[i]);
+    if (c1_[i] != 0.0) ++infeasible_rows_;
   }
-  return s;
 }
 
 void SimplexState::recompute_basic_values() {
   // xB = B^-1 * (b - sum over nonbasic j of A_j x_j)
-  std::vector<double> rhs = b_;
+  std::vector<double>& rhs = rhs_scratch_;
+  rhs = b_;
   const int n_total = n_struct_ + m_;
   for (int j = 0; j < n_total; ++j) {
     if (in_basis_[j] >= 0 || x_[j] == 0.0) continue;
@@ -275,18 +296,99 @@ void SimplexState::recompute_basic_values() {
   for (int i = 0; i < m_; ++i) x_[basic_[i]] = rhs[i];
 }
 
-void SimplexState::compute_duals(std::vector<double>& y) const {
-  // y^T = cB^T * B^-1 for the true costs (a BTRAN).
-  y.resize(m_);
-  for (int i = 0; i < m_; ++i) y[i] = cost_[basic_[i]];
+void SimplexState::rebuild_reduced_costs(Costs costs) {
+  // y^T = cB^T * B^-1 (a full BTRAN), then d = c - A^T y row by row:
+  // each column subtracts its terms in ascending row order, as a
+  // column-wise dot product would.
+  const bool phase1 = costs == Costs::kPhase1;
+  std::vector<double>& y = y_scratch_;
+  for (int i = 0; i < m_; ++i) y[i] = phase1 ? c1_[i] : cost_[basic_[i]];
   engine_->btran(y);
+  const int n_total = n_struct_ + m_;
+  for (int j = 0; j < n_total; ++j) d_[j] = phase1 ? 0.0 : cost_[j];
+  for (int i = 0; i < m_; ++i) {
+    const double yi = y[i];
+    if (yi == 0.0) continue;
+    for (int t = row_start_[i]; t < row_start_[i + 1]; ++t) {
+      d_[row_col_[t]] -= yi * row_val_[t];
+    }
+  }
+  for (int i = 0; i < m_; ++i) d_[basic_[i]] = 0.0;
+  d_costs_ = costs;
+  d_checked_ = true;
+  ++tel_.reduced_cost_rebuilds;
 }
 
-double SimplexState::reduced_cost_of(int j, bool phase1,
-                                     const std::vector<double>& y) const {
-  double d = phase1 ? 0.0 : cost_[j];
-  for (const auto& [row, coeff] : cols_[j]) d -= y[row] * coeff;
-  return d;
+void SimplexState::pivot_row(int r) {
+  engine_->btran_unit(r, rho_);
+  for (int j : alpha_.pattern) {
+    alpha_.values[j] = 0.0;
+    alpha_in_[j] = 0;
+  }
+  alpha_.pattern.clear();
+  // rho's pattern is ascending, so every alpha_j sums its terms in
+  // ascending row order — the order of a column-wise dot product.
+  for (int i : rho_.pattern) {
+    const double ri = rho_.values[i];
+    if (ri == 0.0) continue;
+    for (int t = row_start_[i]; t < row_start_[i + 1]; ++t) {
+      const int j = row_col_[t];
+      if (!alpha_in_[j]) {
+        alpha_in_[j] = 1;
+        alpha_.pattern.push_back(j);
+      }
+      alpha_.values[j] += ri * row_val_[t];
+    }
+  }
+}
+
+void SimplexState::update_reduced_costs(int enter, int leave_row,
+                                        double alpha_q) {
+  const double theta = d_[enter] / alpha_q;
+  for (int j : alpha_.pattern) {
+    if (in_basis_[j] < 0) d_[j] -= theta * alpha_.values[j];
+  }
+  // The leaving column's alpha is exactly 1, so its reduced cost under
+  // the costs d_ prices is -theta. A phase-1 cost belongs to a basic
+  // only: as a nonbasic the leaving column carries none, and the
+  // entering column takes row r with cost 0 until update_phase1_costs
+  // re-derives it.
+  double d_leave = -theta;
+  if (d_costs_ == Costs::kPhase1 && c1_[leave_row] != 0.0) {
+    d_leave -= c1_[leave_row];
+    c1_[leave_row] = 0.0;
+    --infeasible_rows_;
+  }
+  d_[basic_[leave_row]] = d_leave;
+  d_[enter] = 0.0;
+  d_checked_ = false;
+}
+
+void SimplexState::update_phase1_costs(const IndexedVector& w) {
+  // Each fold costs a BTRAN-unit and a pivot row; past this many the
+  // one full BTRAN of a rebuild is cheaper.
+  constexpr std::size_t kMaxCostFolds = 4;
+  cost_moves_.clear();
+  for (int k : w.pattern) {
+    const double c = phase1_cost(basic_[k]);
+    if (c != c1_[k]) cost_moves_.emplace_back(k, c);
+  }
+  if (cost_moves_.size() > kMaxCostFolds) {
+    d_costs_ = Costs::kNone;
+    return;
+  }
+  // Raising row k's basic cost by delta moves y by delta * rho_k, so
+  // every nonbasic d_j falls by delta * alpha_kj.
+  for (const auto& [k, c] : cost_moves_) {
+    const double delta = c - c1_[k];
+    infeasible_rows_ += (c != 0.0) - (c1_[k] != 0.0);
+    c1_[k] = c;
+    pivot_row(k);
+    for (int j : alpha_.pattern) {
+      if (in_basis_[j] < 0) d_[j] -= delta * alpha_.values[j];
+    }
+    d_checked_ = false;
+  }
 }
 
 double SimplexState::entering_sigma(int j, double d) const {
@@ -302,18 +404,15 @@ double SimplexState::entering_sigma(int j, double d) const {
   return (d < -opts_.eps) ? 1.0 : 0.0;    // increasing reduces cost
 }
 
-const std::vector<double>& SimplexState::reduced_costs() const {
-  // Lazy: one dual solve + pricing pass is comparable to a full simplex
-  // iteration, so it only runs for callers that actually consume the
-  // reduced costs (branch and bound's fixing pass), not on every node
-  // LP solve.
+const std::vector<double>& SimplexState::reduced_costs() {
   if (!reduced_costs_valid_) {
-    compute_duals(y_scratch_);
+    // An optimal exit leaves d_ as the phase-2 reduced costs its
+    // optimality check rebuilt; anything else needs a rebuild here.
+    if (d_costs_ != Costs::kPhase2 || !d_checked_) {
+      rebuild_reduced_costs(Costs::kPhase2);
+    }
     for (int j = 0; j < n_struct_; ++j) {
-      reduced_costs_[j] =
-          in_basis_[j] >= 0
-              ? 0.0
-              : reduced_cost_of(j, /*phase1=*/false, y_scratch_);
+      reduced_costs_[j] = in_basis_[j] >= 0 ? 0.0 : d_[j];
     }
     reduced_costs_valid_ = true;
   }
@@ -329,6 +428,10 @@ LpSolution SimplexState::solve(double cutoff) {
     recompute_basic_values();
     basics_dirty_ = false;
   }
+  // Bound edits moved basic values, and with them the phase-1 costs:
+  // the first loop to price rebuilds d_.
+  d_costs_ = Costs::kNone;
+  load_phase1_costs();
 
   // Dual warm re-entry: bound edits leave reduced costs untouched, so
   // a previously optimal basis is still dual-feasible and the dual
@@ -338,8 +441,11 @@ LpSolution SimplexState::solve(double cutoff) {
   // optimality from scratch. The phase-1/phase-2 loops below still run
   // afterwards as the numerical safety net and the optimality proof
   // (both are no-ops when the dual loop finished clean).
-  if (opts_.reentry == ReentryKind::kDual &&
-      load_phase1_costs(y_scratch_) > opts_.eps) {
+  // A basic more than eps outside a bound is what both the dual loop's
+  // leaving-row choice and the phase-1 costs act on, so the loops run
+  // while one exists (not while the summed violations exceed eps: many
+  // tolerable violations may sum past eps with nothing to price).
+  if (opts_.reentry == ReentryKind::kDual && infeasible_rows_ > 0) {
     if (dual_feasible()) {
       ++tel_.dual_reentries;
       sol.dual_reentry = true;
@@ -396,14 +502,16 @@ LpSolution SimplexState::solve(double cutoff) {
       ++tel_.phase1_fallbacks;
     }
   }
-  if (load_phase1_costs(y_scratch_) > opts_.eps) ++tel_.phase1_reentries;
+  if (d_costs_ != Costs::kPhase1) load_phase1_costs();
+  if (infeasible_rows_ > 0) ++tel_.phase1_reentries;
 
   // Phase 1: drive basic-variable bound violations to zero, starting
   // from whatever basis this state currently holds (warm re-entry after
-  // bound edits, an inherited basis, or the cold crash basis). The loop
-  // test loads the phase-1 costs that iterate() then prices with, so
-  // the infeasibility is summed once per iteration.
-  while (load_phase1_costs(y_scratch_) > opts_.eps) {
+  // bound edits, an inherited basis, or the cold crash basis). While
+  // d_ prices phase 1, iterate() keeps c1_ and the infeasible-row count
+  // current; once d_ goes stale they are reloaded here before the
+  // rebuild.
+  while (infeasible_rows_ > 0) {
     const StepOutcome oc = iterate(/*phase1=*/true);
     if (oc == StepOutcome::kNoDirection) {
       sol.status = SolveStatus::kInfeasible;
@@ -422,6 +530,7 @@ LpSolution SimplexState::solve(double cutoff) {
       sol.iterations = iters_;
       return sol;
     }
+    if (d_costs_ != Costs::kPhase1) load_phase1_costs();
   }
   candidates_.clear();  // phase-1 scores are stale for phase 2
   // Phase 2: optimize the true objective.
@@ -447,26 +556,14 @@ LpSolution SimplexState::solve(double cutoff) {
   return sol;
 }
 
-SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
-  if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
-  ++iters_;
-
-  if (phase1) {
-    engine_->btran(y_scratch_);  // costs loaded by the phase-1 loop test
-  } else {
-    compute_duals(y_scratch_);
-  }
-  const std::vector<double>& y = y_scratch_;
-
+int SimplexState::price(bool bland, double& enter_sigma) {
   // Pricing: find an entering variable. The candidate list from the
   // last full scan is tried first; a full scan runs only when the list
   // is dry (and doubles as the optimality proof when it finds nothing).
   // Bland's rule (first eligible by index) takes over after a run of
   // degenerate steps.
-  const bool bland = degenerate_run_ >= 50;
   const int n_total = n_struct_ + m_;
   int enter = -1;
-  double enter_sigma = 0.0;
   // Dantzig scores: -|d| (smaller is better), floored at -eps so that
   // only a reduced cost beyond the tolerance can enter.
   double best_score = -opts_.eps;
@@ -474,60 +571,72 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   if (bland) {
     for (int j = 0; j < n_total; ++j) {
       if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-      const double d = reduced_cost_of(j, phase1, y);
-      const double sigma = entering_sigma(j, d);
+      const double sigma = entering_sigma(j, d_[j]);
       if (sigma != 0.0) {
-        enter = j;
         enter_sigma = sigma;
-        break;
+        return j;
       }
     }
-  } else {
-    if (!candidates_.empty()) {
-      for (int j : candidates_) {
-        if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-        const double d = reduced_cost_of(j, phase1, y);
-        const double sigma = entering_sigma(j, d);
-        if (sigma == 0.0) continue;
-        const double score = -std::fabs(d);
-        if (score < best_score) {
-          best_score = score;
-          enter = j;
-          enter_sigma = sigma;
-        }
+    return -1;
+  }
+  for (int j : candidates_) {
+    if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
+    const double sigma = entering_sigma(j, d_[j]);
+    if (sigma == 0.0) continue;
+    const double score = -std::fabs(d_[j]);
+    if (score < best_score) {
+      best_score = score;
+      enter = j;
+      enter_sigma = sigma;
+    }
+  }
+  if (enter != -1) return enter;
+  // Full pricing scan; rebuild the candidate list from the runners-up
+  // so the next pivots price only this short list.
+  std::vector<std::pair<double, int>>& eligible = eligible_scratch_;
+  eligible.clear();  // (score, j)
+  for (int j = 0; j < n_total; ++j) {
+    if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
+    const double sigma = entering_sigma(j, d_[j]);
+    if (sigma == 0.0) continue;
+    const double score = -std::fabs(d_[j]);
+    if (score < best_score) {
+      best_score = score;
+      enter = j;
+      enter_sigma = sigma;
+    }
+    if (opts_.candidate_list_size > 0) eligible.emplace_back(score, j);
+  }
+  candidates_.clear();
+  if (enter != -1 && opts_.candidate_list_size > 0) {
+    const std::size_t keep =
+        std::min(opts_.candidate_list_size, eligible.size());
+    std::partial_sort(eligible.begin(), eligible.begin() + keep,
+                      eligible.end());
+    for (std::size_t i = 0; i < keep; ++i) {
+      if (eligible[i].second != enter) {
+        candidates_.push_back(eligible[i].second);
       }
     }
-    if (enter == -1) {
-      // Full pricing scan; rebuild the candidate list from the runners-
-      // up so the next pivots price only this short list.
-      std::vector<std::pair<double, int>>& eligible = eligible_scratch_;
-      eligible.clear();  // (score, j)
-      for (int j = 0; j < n_total; ++j) {
-        if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-        const double d = reduced_cost_of(j, phase1, y);
-        const double sigma = entering_sigma(j, d);
-        if (sigma == 0.0) continue;
-        const double score = -std::fabs(d);
-        if (score < best_score) {
-          best_score = score;
-          enter = j;
-          enter_sigma = sigma;
-        }
-        if (opts_.candidate_list_size > 0) eligible.emplace_back(score, j);
-      }
-      candidates_.clear();
-      if (enter != -1 && opts_.candidate_list_size > 0) {
-        const std::size_t keep =
-            std::min(opts_.candidate_list_size, eligible.size());
-        std::partial_sort(eligible.begin(), eligible.begin() + keep,
-                          eligible.end());
-        for (std::size_t i = 0; i < keep; ++i) {
-          if (eligible[i].second != enter) {
-            candidates_.push_back(eligible[i].second);
-          }
-        }
-      }
-    }
+  }
+  return enter;
+}
+
+SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
+  if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
+  ++iters_;
+
+  const Costs costs = phase1 ? Costs::kPhase1 : Costs::kPhase2;
+  if (d_costs_ != costs) rebuild_reduced_costs(costs);
+  const bool bland = degenerate_run_ >= 50;
+  double enter_sigma = 0.0;
+  int enter = price(bland, enter_sigma);
+  if (enter == -1 && !d_checked_) {
+    // Optimality check: the updates carry rounding, so "no column can
+    // enter" is only reported from freshly rebuilt reduced costs (the
+    // failed scan left the candidate list empty: this is a full scan).
+    rebuild_reduced_costs(costs);
+    enter = price(bland, enter_sigma);
   }
   if (enter == -1) return StepOutcome::kNoDirection;
 
@@ -606,10 +715,15 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     // Snap exactly onto the bound to stop drift.
     x_[enter] = at_upper_[enter] ? up_[enter] : lo_[enter];
     ++tel_.primal_pivots;
+    if (phase1) update_phase1_costs(w);
     return StepOutcome::kPivoted;
   }
 
   WB_ASSERT(leave_row >= 0);
+  WB_ASSERT_MSG(std::fabs(w.values[leave_row]) > opts_.pivot_eps,
+                "degenerate pivot");
+  pivot_row(leave_row);  // of the outgoing basis
+  update_reduced_costs(enter, leave_row, w.values[leave_row]);
   const int leaving = basic_[leave_row];
   x_[leaving] = leave_bound;
   at_upper_[leaving] =
@@ -621,9 +735,8 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   // Absorb the pivot into the basis engine (dense: elementary row
   // update; LU: append an eta vector). The engine declines when its
   // eta file is full or the pivot is too unstable to chain — then a
-  // fresh factorization of the *new* basis replaces the whole file.
-  WB_ASSERT_MSG(std::fabs(w.values[leave_row]) > opts_.pivot_eps,
-                "degenerate pivot");
+  // fresh factorization of the *new* basis replaces the whole file,
+  // and the reduced costs are rebuilt against it.
   if (!engine_->update(leave_row, w)) {
     if (!engine_->factorize(cols_, basic_)) {
       // The ratio test admitted this pivot, so the new basis is
@@ -635,11 +748,17 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
       reset();
       return StepOutcome::kIterLimit;
     }
+    d_costs_ = Costs::kNone;
+  } else if (phase1) {
+    update_phase1_costs(w);
   }
 
   ++tel_.primal_pivots;
   // Periodic refresh to contain floating-point drift.
-  if (iters_ % 512 == 0) recompute_basic_values();
+  if (iters_ % 512 == 0) {
+    recompute_basic_values();
+    d_costs_ = Costs::kNone;
+  }
   return StepOutcome::kPivoted;
 }
 
@@ -658,13 +777,13 @@ bool SimplexState::dual_feasible() {
   // whole re-entry to phase 1. Only a free column (or one whose
   // opposite bound is infinite) with a wrong-signed reduced cost
   // forces the fallback.
-  compute_duals(y_scratch_);
+  rebuild_reduced_costs(Costs::kPhase2);
   const int n_total = n_struct_ + m_;
   bool ok = true;
   bool flipped = false;
   for (int j = 0; j < n_total; ++j) {
     if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-    const double d = reduced_cost_of(j, /*phase1=*/false, y_scratch_);
+    const double d = d_[j];
     const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
     if (is_free) {
       if (std::fabs(d) > opts_.eps) ok = false;
@@ -731,34 +850,31 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   const int leaving = basic_[leave_row];
   const double target = (dir > 0.0) ? up_[leaving] : lo_[leaving];
 
-  // --- Pivot row rho = B^-T e_r and current duals (for the ratio
-  // test's reduced costs).
-  engine_->btran_unit(leave_row, rho_scratch_);
-  compute_duals(y_scratch_);
-  const std::vector<double>& rho = rho_scratch_;
-  const std::vector<double>& y = y_scratch_;
+  // --- Pivot row alpha_j = rho . A_j, rho = B^-T e_r; the ratio test
+  // reads the maintained reduced costs.
+  if (d_costs_ != Costs::kPhase2) rebuild_reduced_costs(Costs::kPhase2);
+  pivot_row(leave_row);
 
   // --- Dual ratio test. Orient the pivot row toward the violation:
-  // abar_j = dir * (rho . A_j). A nonbasic column is an admissible
+  // abar_j = dir * alpha_j. A nonbasic column is an admissible
   // entering candidate when moving it off its bound pulls the leaving
   // variable toward `target`: at-lower columns need abar > 0, at-upper
   // abar < 0, free columns qualify either way. theta_j = d_j / abar_j
   // (>= 0 under dual feasibility) is the dual step length at which
   // column j's reduced cost crosses zero — the smallest theta keeps
   // every other reduced cost sign-correct.
-  const int n_total = n_struct_ + m_;
+  // Columns off alpha_'s pattern have alpha_j == 0 and never qualify;
+  // the candidates are sorted by (theta, j), so the pattern's order
+  // does not matter.
   dual_cands_.clear();
-  for (int j = 0; j < n_total; ++j) {
+  for (int j : alpha_.pattern) {
     if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-    double alpha = 0.0;
-    for (const auto& [row, coeff] : cols_[j]) alpha += rho[row] * coeff;
-    const double abar = dir * alpha;
+    const double abar = dir * alpha_.values[j];
     if (std::fabs(abar) <= opts_.pivot_eps) continue;
     const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
     if (!is_free && (at_upper_[j] ? (abar > 0.0) : (abar < 0.0))) continue;
-    const double d = reduced_cost_of(j, /*phase1=*/false, y);
     DualCand c;
-    c.theta = std::max(d / abar, 0.0);  // clamp tolerance-level negatives
+    c.theta = std::max(d_[j] / abar, 0.0);  // clamp tolerance-level negatives
     c.j = j;
     c.abar = abar;
     dual_cands_.push_back(c);
@@ -864,6 +980,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
       return StepOutcome::kIterLimit;
     }
     recompute_basic_values();
+    d_costs_ = Costs::kNone;
     return StepOutcome::kNumericalTrouble;
   }
 
@@ -872,7 +989,9 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
                         : 0;
 
   // --- Pivot: move the entering column until the leaving variable
-  // lands exactly on its violated bound.
+  // lands exactly on its violated bound; the dual step theta_D =
+  // d_q / alpha_q moves every reduced cost along the pivot row.
+  update_reduced_costs(enter, leave_row, alpha_q);
   const double t = (x_[leaving] - target) / alpha_q;
   x_[enter] += t;
   for (int k : w.pattern) x_[basic_[k]] -= t * w.values[k];
@@ -889,9 +1008,13 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
       reset();
       return StepOutcome::kIterLimit;
     }
+    d_costs_ = Costs::kNone;
   }
   ++tel_.dual_pivots;
-  if (iters_ % 512 == 0) recompute_basic_values();
+  if (iters_ % 512 == 0) {
+    recompute_basic_values();
+    d_costs_ = Costs::kNone;
+  }
   return StepOutcome::kPivoted;
 }
 

@@ -23,6 +23,16 @@
 //    attractive columns and falls back to a full scan only to rebuild
 //    the list or prove optimality;
 //  - the dual loop's leaving row is the largest bound violation;
+//  - both loops price from one maintained reduced-cost vector d over
+//    all n+m columns. After each basis change, d_j -= theta * alpha_j
+//    along the pivot row alpha = e_r^T B^-1 A (theta = d_q / alpha_q),
+//    built from a hypersparse BTRAN-unit and a row-wise copy of the
+//    matrix over rho's nonzeros only. A phase-1 cost that a step
+//    changes is folded in through its own row's rho. A full BTRAN
+//    rebuilds d only at solve entry, on a phase switch, after a
+//    refactorization or the periodic refresh, when a step changes too
+//    many phase-1 costs at once, and once before a loop reports that
+//    no column can enter — that last rebuild is the optimality check;
 //  - in both loops Bland's rule (smallest index) takes over after a run
 //    of degenerate pivots to guard against cycling.
 //
@@ -105,6 +115,9 @@ struct SimplexTelemetry {
   std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;     ///< phase-1/2 pivots + bound flips
   std::size_t dual_pivots = 0;       ///< dual-loop pivots
+  /// Full rebuilds of the maintained reduced costs (one BTRAN each);
+  /// every other iteration updates them from the pivot row.
+  std::size_t reduced_cost_rebuilds = 0;
 };
 
 struct SimplexOptions {
@@ -125,8 +138,8 @@ struct SimplexOptions {
   /// factorization better on large sparse bases, where each eta is
   /// cheap to apply but a factorization costs a full elimination).
   std::size_t refactor_interval = 0;
-  /// Warm re-entry mode after bound edits. kPhase1 keeps the solver
-  /// walk bit-identical to the pre-PR 10 engine; kDual re-enters via
+  /// Warm re-entry mode after bound edits. kPhase1 (the default)
+  /// repairs with composite phase 1; kDual re-enters via
   /// the dual simplex when the basis is dual-feasible (the usual case
   /// for branch-and-bound children) and falls back to phase 1 when not.
   ReentryKind reentry = ReentryKind::kPhase1;
@@ -237,10 +250,11 @@ class SimplexState {
 
   /// Reduced costs of the structural variables (model order) for the
   /// current basis (meaningful after a solve() that returned kOptimal);
-  /// basic variables read 0. Computed lazily on first access — callers
-  /// that never consume them (plain LP solves) pay nothing. Used by
-  /// branch and bound for reduced-cost variable fixing.
-  [[nodiscard]] const std::vector<double>& reduced_costs() const;
+  /// basic variables read 0. After an optimal exit these are the
+  /// maintained reduced costs the optimality check just rebuilt, so no
+  /// extra BTRAN runs; in any other state the first access rebuilds
+  /// them. Used by branch and bound for reduced-cost variable fixing.
+  [[nodiscard]] const std::vector<double>& reduced_costs();
 
   /// The basis engine actually in use (kAuto resolved at construction).
   [[nodiscard]] BasisEngineKind engine_kind() const {
@@ -252,6 +266,21 @@ class SimplexState {
   }
   /// Cumulative re-entry / pivot telemetry (across solves).
   [[nodiscard]] const SimplexTelemetry& telemetry() const { return tel_; }
+
+  /// Which objective the maintained reduced costs price.
+  enum class Costs : std::uint8_t {
+    kNone,    ///< stale: rebuilt before the next pricing
+    kPhase1,  ///< composite phase 1 (+/-1 on basics beyond eps)
+    kPhase2,  ///< the true objective
+  };
+  /// The reduced costs both loops price from, over all n+m working
+  /// columns (structural, then one slack per row; basic columns read
+  /// 0), and the objective they price. The differential tests stop a
+  /// walk at an iteration limit and recompute them from the basis.
+  [[nodiscard]] const std::vector<double>& maintained_reduced_costs() const {
+    return d_;
+  }
+  [[nodiscard]] Costs maintained_costs() const { return d_costs_; }
 
  private:
   enum class StepOutcome {
@@ -269,17 +298,31 @@ class SimplexState {
   };
 
   [[nodiscard]] double phase1_cost(int var) const;
-  /// Loads the phase-1 basic costs into y and returns the total bound
-  /// infeasibility of the basic variables (summed in row order).
-  double load_phase1_costs(std::vector<double>& y) const;
+  /// Loads every row's phase-1 basic cost into c1_ and counts the rows
+  /// whose cost is nonzero (infeasible_rows_).
+  void load_phase1_costs();
   void recompute_basic_values();
-  /// y = B^-T cB for the true (phase-2) costs.
-  void compute_duals(std::vector<double>& y) const;
-  [[nodiscard]] double reduced_cost_of(int j, bool phase1,
-                                       const std::vector<double>& y) const;
+  /// d_ = c - A^T B^-T c_B for `costs` (phase 1: c1_ on the basics,
+  /// 0 elsewhere) — one full BTRAN; basic columns read 0.
+  void rebuild_reduced_costs(Costs costs);
+  /// alpha_ = e_r^T B^-1 A over all n+m columns: rho = B^-T e_r, then
+  /// the row-wise matrix over rho's nonzeros.
+  void pivot_row(int r);
+  /// Basis change: with alpha_ the pivot row of `leave_row` (outgoing
+  /// basis) and alpha_q the pivot element, d_j -= (d_q / alpha_q) *
+  /// alpha_j; the leaving column gets its nonbasic reduced cost.
+  void update_reduced_costs(int enter, int leave_row, double alpha_q);
+  /// Phase 1, after a step moved the basics on w.pattern: re-derives
+  /// their phase-1 costs and folds each change into d_ through its
+  /// row's rho (or marks d_ stale when too many changed at once).
+  void update_phase1_costs(const IndexedVector& w);
   /// Entering-direction sign for column j given reduced cost d, or 0 if
   /// the column cannot improve the current phase objective.
   [[nodiscard]] double entering_sigma(int j, double d) const;
+  /// Dantzig pricing over d_ (candidate list first, full scan to
+  /// rebuild it; Bland: first eligible index). Returns -1 if no column
+  /// can enter.
+  int price(bool bland, double& enter_sigma);
   StepOutcome iterate(bool phase1);
   /// One dual simplex pivot (leaving row: largest bound violation;
   /// entering column: the bound-flipping dual ratio test). Returns
@@ -300,6 +343,11 @@ class SimplexState {
 
   std::vector<double> lo_, up_, cost_, b_;
   std::vector<std::vector<std::pair<int, double>>> cols_;
+  /// The same working matrix row-wise (CSR, slack entries included):
+  /// row i's entries are (row_col_, row_val_)[row_start_[i] ..
+  /// row_start_[i+1]), in ascending column order.
+  std::vector<int> row_start_, row_col_;
+  std::vector<double> row_val_;
 
   std::vector<int> basic_;
   std::vector<int> in_basis_;
@@ -310,17 +358,26 @@ class SimplexState {
   SimplexTelemetry tel_;
 
   std::vector<int> candidates_;          ///< partial-pricing list
-  mutable std::vector<double> reduced_costs_;  ///< lazy, per basis
-  mutable std::vector<double> y_scratch_;      ///< dual scratch (size m)
+  std::vector<double> reduced_costs_;    ///< structural view, per basis
+  std::vector<double> y_scratch_;        ///< dual scratch (size m)
   IndexedVector w_scratch_;              ///< pivot direction (FTRAN image)
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
-  std::vector<double> rho_scratch_;      ///< dual pivot row B^-T e_r
-  std::vector<double> rhs_scratch_;      ///< batched bound-flip rhs
+  IndexedVector rho_;                    ///< B^-T e_r of the pivot row
+  IndexedVector alpha_;                  ///< pivot row, size n+m
+  std::vector<std::uint8_t> alpha_in_;   ///< column listed in alpha_
+  std::vector<double> rhs_scratch_;      ///< basic-value / bound-flip rhs
   std::vector<DualCand> dual_cands_;     ///< dual ratio-test candidates
   std::vector<int> flip_scratch_;        ///< columns flipped this pivot
+  std::vector<std::pair<int, double>> cost_moves_;  ///< (row, new c1)
+
+  std::vector<double> d_;              ///< reduced costs, all n+m columns
+  Costs d_costs_ = Costs::kNone;       ///< what d_ prices
+  bool d_checked_ = false;             ///< d_ rebuilt since its last update
+  std::vector<double> c1_;             ///< phase-1 cost of each row's basic
+  int infeasible_rows_ = 0;            ///< rows with c1_ != 0
 
   bool basics_dirty_ = false;  ///< bound edits invalidated basic values
-  mutable bool reduced_costs_valid_ = false;
+  bool reduced_costs_valid_ = false;
   std::uint64_t synced_revision_ = 0;  ///< model bound revision mirrored
   bool bounds_diverged_ = false;  ///< state bounds edited past the model
   BasisRejectReason last_load_reject_ = BasisRejectReason::kNone;

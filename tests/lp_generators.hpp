@@ -259,8 +259,9 @@ inline LinearProgram gen_partition_at_scale(std::uint32_t seed,
 }
 
 /// The working-form columns SimplexState factorizes for `lp`: each
-/// structural column with its >= rows negated, then one unit slack
-/// column per row (column n + i for row i).
+/// structural column with its >= rows negated (a variable mentioned
+/// twice in one row gets the sum, zero terms are dropped), then one
+/// unit slack column per row (column n + i for row i).
 inline std::vector<SparseColumn> working_columns(const LinearProgram& lp) {
   const int n = lp.num_variables();
   const int m = lp.num_constraints();
@@ -269,7 +270,13 @@ inline std::vector<SparseColumn> working_columns(const LinearProgram& lp) {
     const Constraint& c = lp.constraints()[i];
     const double sign = c.rel == Relation::kGe ? -1.0 : 1.0;
     for (const auto& [v, coeff] : c.terms) {
-      cols[v].emplace_back(i, sign * coeff);
+      if (coeff == 0.0) continue;
+      SparseColumn& col = cols[v];
+      if (!col.empty() && col.back().first == i) {
+        col.back().second += sign * coeff;
+      } else {
+        col.emplace_back(i, sign * coeff);
+      }
     }
     cols[n + i].emplace_back(i, 1.0);
   }

@@ -19,6 +19,7 @@
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
 #include "ilp/basis_lu.hpp"
+#include "ilp/simplex.hpp"
 #include "lp_generators.hpp"
 #include "profile/platform.hpp"
 #include "runtime/executor.hpp"
@@ -136,8 +137,8 @@ TEST(AllocFree, LuBasisEngineSteadyStateMakesZeroAllocations) {
 
   std::vector<int> slack_basis(m);
   for (int i = 0; i < m; ++i) slack_basis[i] = lp.num_variables() + i;
-  IndexedVector w;
-  std::vector<double> y(m), rho(m);
+  IndexedVector w, rho;
+  std::vector<double> y(m);
   std::vector<int> basic;
 
   // Replays `walk` (entering column, leaving row) from the slack basis.
@@ -191,6 +192,70 @@ TEST(AllocFree, LuBasisEngineSteadyStateMakesZeroAllocations) {
   EXPECT_EQ(a2 - a1, 0u) << "replayed pivot walk";
   EXPECT_GE(lu->stats().refactorizations, refactorizations + 3)
       << "the walk never ran an eta chain up to a refactorization";
+}
+
+/// A warm SimplexState at solver scale, both re-entry modes: a round
+/// reloads the root basis, then runs branching-style bound edits and
+/// re-solves. Once a round has grown every buffer (pivot rows, the
+/// reduced-cost updates and rebuilds, phase-1 cost folds, dual ratio
+/// tests, eta files and the refactorizations between them), replaying
+/// it allocates nothing but the solution vector each optimal
+/// LpSolution returns. (The replay keeps factorize() on bases it has
+/// seen: its per-row lists grow with the fill-in of a new basis.)
+TEST(AllocFree, WarmSimplexResolveMakesZeroAllocations) {
+  using namespace ilp;
+  const LinearProgram lp = testgen::gen_partition_at_scale(7);
+  for (ReentryKind reentry : {ReentryKind::kPhase1, ReentryKind::kDual}) {
+    SimplexOptions opts;
+    opts.engine = BasisEngineKind::kLu;
+    opts.reentry = reentry;
+    opts.refactor_interval = 16;
+    SimplexState state(lp, opts);
+    const LpSolution root = state.solve();
+    ASSERT_EQ(root.status, SolveStatus::kOptimal);
+    std::vector<int> frac;
+    for (int v = 0; v < lp.num_variables() && frac.size() < 6; ++v) {
+      if (root.x[v] > state.lower(v) + 1e-6 &&
+          root.x[v] < state.upper(v) - 1e-6) {
+        frac.push_back(v);
+      }
+    }
+    ASSERT_FALSE(frac.empty()) << "root LP solved integral";
+    const Basis root_basis = state.extract_basis();
+
+    std::size_t solutions = 0;  // optimal solves, each returning x
+    auto round = [&] {
+      solutions = 0;
+      ASSERT_TRUE(state.load_basis(root_basis));
+      for (int v : frac) {
+        const double lo = lp.lower(v), up = lp.upper(v);
+        for (const auto& [a, b] : {std::pair{lo, lo}, {up, up}, {lo, up}}) {
+          state.set_bounds(v, a, b);
+          const LpSolution sol = state.solve();
+          if (!sol.x.empty()) ++solutions;
+          if (sol.status == SolveStatus::kOptimal) {
+            (void)state.reduced_costs();
+          }
+        }
+      }
+    };
+    round();  // warm-up
+    const std::size_t pivots = state.telemetry().primal_pivots +
+                               state.telemetry().dual_pivots;
+    const std::size_t refactorizations =
+        state.basis_stats().refactorizations;
+    const std::size_t a0 = util::allocation_count();
+    round();
+    const std::size_t a1 = util::allocation_count();
+    EXPECT_EQ(a1 - a0, solutions) << reentry_name(reentry);
+    EXPECT_GT(state.telemetry().primal_pivots +
+                  state.telemetry().dual_pivots,
+              pivots + 20)
+        << reentry_name(reentry) << ": the measured round barely pivoted";
+    EXPECT_GT(state.basis_stats().refactorizations, refactorizations + 1)
+        << reentry_name(reentry)
+        << ": no refactorization besides the basis load";
+  }
 }
 
 /// Collecting sink output allocates (by design); streaming mode is the

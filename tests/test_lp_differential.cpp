@@ -21,7 +21,9 @@
 // exists to produce them) remain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
 #include <string>
 
@@ -467,7 +469,7 @@ TEST(LpDifferential, LuEngineMatchesDenseThroughEtaChainsAtScale) {
       in_basis[basic[i]] = 1;
     }
     std::mt19937 rng(seed);
-    IndexedVector wd, wl;
+    IndexedVector wd, wl, rhod, rhol;
     std::vector<double> rd, rl, yd(m), yl;
     int pivots = 0;
     for (int step = 0; step < 240; ++step) {
@@ -494,12 +496,9 @@ TEST(LpDifferential, LuEngineMatchesDenseThroughEtaChainsAtScale) {
       }
       const int r = testgen::largest_entry_row(wl);
       if (r < 0) continue;
-      dense->btran_unit(r, rd);
-      lu->btran_unit(r, rl);
-      for (int i = 0; i < m; ++i) {
-        EXPECT_NEAR(rl[i], rd[i], 1e-8 * (1.0 + std::fabs(rd[i])))
-            << where << " btran_unit i=" << i;
-      }
+      dense->btran_unit(r, rhod);
+      lu->btran_unit(r, rhol);
+      expect_ftran_matches(rhod, rhol, where + " btran_unit");
       in_basis[basic[r]] = 0;
       basic[r] = enter;
       in_basis[enter] = 1;
@@ -562,4 +561,254 @@ TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
       EXPECT_NEAR(yd[i], yl[i], 1e-8) << "t=" << t << " i=" << i;
     }
   }
+}
+
+TEST(BasisEngineUnit, BtranUnitMatchesDenseBtranThroughEtaChains) {
+  // Row r of B^-1 from the hypersparse BTRAN-unit against the same
+  // engine's dense BTRAN of e_r, along pivot walks whose eta chains run
+  // into refactorizations: the values agree to 1e-12, and the pattern
+  // is strictly ascending and lists every nonzero.
+  for (BasisEngineKind kind :
+       {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
+    for (std::uint32_t seed = 1; seed <= 2; ++seed) {
+      const LinearProgram lp = testgen::gen_partition_at_scale(seed);
+      const int m = lp.num_constraints();
+      const int n_total = lp.num_variables() + m;
+      const std::vector<SparseColumn> cols = testgen::working_columns(lp);
+      BasisEngineOptions opts;
+      opts.max_eta = 24;
+      auto eng = make_basis_engine(kind, m, opts);
+      std::vector<int> basic(m);
+      std::vector<char> in_basis(n_total, 0);
+      for (int i = 0; i < m; ++i) {
+        basic[i] = lp.num_variables() + i;
+        in_basis[basic[i]] = 1;
+      }
+      ASSERT_TRUE(eng->factorize(cols, basic));
+      std::mt19937 rng(seed);
+      IndexedVector w, rho;
+      std::vector<double> unit(m);
+      std::size_t max_nnz = 0;
+      for (int step = 0; step < 160; ++step) {
+        const int enter = static_cast<int>(rng() % n_total);
+        if (in_basis[enter]) continue;
+        eng->ftran(cols[enter], w);
+        const int leave = testgen::largest_entry_row(w);
+        if (leave < 0) continue;
+        for (int probe = 0; probe < 3; ++probe) {
+          const int r = probe == 0 ? leave : static_cast<int>(rng() % m);
+          const std::string where = std::string(engine_name(kind)) +
+                                    " seed=" + std::to_string(seed) +
+                                    " step=" + std::to_string(step) +
+                                    " r=" + std::to_string(r);
+          eng->btran_unit(r, rho);
+          std::fill(unit.begin(), unit.end(), 0.0);
+          unit[r] = 1.0;
+          eng->btran(unit);
+          ASSERT_EQ(rho.values.size(), static_cast<std::size_t>(m)) << where;
+          std::vector<char> listed(m, 0);
+          for (std::size_t t = 0; t < rho.pattern.size(); ++t) {
+            if (t > 0) {
+              ASSERT_LT(rho.pattern[t - 1], rho.pattern[t])
+                  << where << ": pattern not strictly ascending";
+            }
+            listed[rho.pattern[t]] = 1;
+          }
+          for (int i = 0; i < m; ++i) {
+            EXPECT_NEAR(rho.values[i], unit[i],
+                        1e-12 * (1.0 + std::fabs(unit[i])))
+                << where << " i=" << i;
+            if (rho.values[i] != 0.0 || unit[i] != 0.0) {
+              EXPECT_TRUE(listed[i]) << where << ": nonzero " << i
+                                     << " not listed";
+            }
+          }
+          max_nnz = std::max(max_nnz, rho.pattern.size());
+        }
+        in_basis[basic[leave]] = 0;
+        basic[leave] = enter;
+        in_basis[enter] = 1;
+        if (!eng->update(leave, w)) {
+          ASSERT_TRUE(eng->factorize(cols, basic));
+        }
+      }
+      EXPECT_GT(max_nnz, 1u) << engine_name(kind) << ": only unit rows seen";
+      if (kind == BasisEngineKind::kLu) {
+        EXPECT_GE(eng->stats().refactorizations, 3u)
+            << "seed=" << seed
+            << ": the eta chains never reached a refactorization";
+      }
+    }
+  }
+}
+
+// ---------------------------------------- maintained reduced costs
+
+namespace {
+
+/// Reduced costs of `state`'s current basis, recomputed from scratch on
+/// a freshly factorized engine: nonbasic columns rest on the bound
+/// at_upper names (0 when free), basic values solve B x_B = b - N x_N,
+/// and the costs are the true objective or, for phase 1, +/-1 on the
+/// basics more than eps outside a bound.
+std::vector<double> fresh_reduced_costs(const LinearProgram& lp,
+                                        const SimplexState& state,
+                                        bool phase1, double eps) {
+  const int n = lp.num_variables();
+  const int m = lp.num_constraints();
+  const std::vector<SparseColumn> cols = testgen::working_columns(lp);
+  const Basis basis = state.extract_basis();
+  std::vector<double> lo(n + m), up(n + m), cost(n + m, 0.0), xb(m);
+  for (int j = 0; j < n; ++j) {
+    lo[j] = state.lower(j);
+    up[j] = state.upper(j);
+    cost[j] = lp.objective_coeff(j);
+  }
+  for (int i = 0; i < m; ++i) {
+    const Constraint& c = lp.constraints()[i];
+    xb[i] = (c.rel == Relation::kGe ? -1.0 : 1.0) * c.rhs;
+    lo[n + i] = 0.0;
+    up[n + i] = c.rel == Relation::kEq ? 0.0 : kInf;
+  }
+  auto eng = make_basis_engine(BasisEngineKind::kLu, m);
+  EXPECT_TRUE(eng->factorize(cols, basis.basic));
+  std::vector<char> is_basic(n + m, 0);
+  for (int v : basis.basic) is_basic[v] = 1;
+  std::vector<double> y(m);
+  if (phase1) {
+    for (int j = 0; j < n + m; ++j) {
+      if (is_basic[j]) continue;
+      double x = 0.0;
+      if (basis.at_upper[j] && std::isfinite(up[j])) {
+        x = up[j];
+      } else if (std::isfinite(lo[j])) {
+        x = lo[j];
+      } else if (std::isfinite(up[j])) {
+        x = up[j];
+      }
+      for (const auto& [row, coeff] : cols[j]) xb[row] -= coeff * x;
+    }
+    eng->ftran_dense(xb);
+    for (int i = 0; i < m; ++i) {
+      const int v = basis.basic[i];
+      y[i] = xb[i] > up[v] + eps ? 1.0 : (xb[i] < lo[v] - eps ? -1.0 : 0.0);
+    }
+  } else {
+    for (int i = 0; i < m; ++i) y[i] = cost[basis.basic[i]];
+  }
+  eng->btran(y);
+  std::vector<double> d(n + m, 0.0);
+  for (int j = 0; j < n + m; ++j) {
+    if (is_basic[j]) continue;
+    d[j] = phase1 ? 0.0 : cost[j];
+    for (const auto& [row, coeff] : cols[j]) d[j] -= y[row] * coeff;
+  }
+  return d;
+}
+
+struct DriftTally {
+  int compared = 0;       ///< stops whose maintained d was checked
+  int mid_eta_chain = 0;  ///< of those, with a nonempty LU eta file
+  int past_refactor = 0;  ///< of those, after a mid-walk refactorization
+};
+
+/// Replays one deterministic walk, stopping it after every `stride`-th
+/// iteration (a fresh state per stop: `prepare` loads the start basis
+/// and bound edits, then solve() runs into the iteration limit), and
+/// compares the maintained reduced costs with fresh_reduced_costs.
+/// `walk_len` is the walk's length without a limit.
+void expect_maintained_costs_match(
+    const LinearProgram& lp, SimplexOptions opts, std::size_t walk_len,
+    std::size_t stride,
+    const std::function<void(SimplexState&)>& prepare, DriftTally& tally,
+    const std::string& where) {
+  for (std::size_t k = 1; k < walk_len; k += stride) {
+    opts.max_iterations = k;
+    SimplexState state(lp, opts);
+    prepare(state);
+    const std::size_t refacs = state.basis_stats().refactorizations;
+    const LpSolution sol = state.solve();
+    if (sol.status != SolveStatus::kIterationLimit) continue;
+    const SimplexState::Costs costs = state.maintained_costs();
+    if (costs == SimplexState::Costs::kNone) continue;  // stale: rebuilds
+    const std::vector<double> fresh = fresh_reduced_costs(
+        lp, state, costs == SimplexState::Costs::kPhase1, opts.eps);
+    const std::vector<double>& d = state.maintained_reduced_costs();
+    ASSERT_EQ(d.size(), fresh.size()) << where;
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      ASSERT_NEAR(d[j], fresh[j], 1e-9 * (1.0 + std::fabs(fresh[j])))
+          << where << " k=" << k << " j=" << j << " phase "
+          << (costs == SimplexState::Costs::kPhase1 ? 1 : 2);
+    }
+    ++tally.compared;
+    if (state.basis_stats().eta_len > 0) ++tally.mid_eta_chain;
+    if (state.basis_stats().refactorizations > refacs) ++tally.past_refactor;
+  }
+}
+
+/// Primal walks (cold solves) and dual walks (warm re-solves after
+/// branching-style bound cuts) of `lp`, both engines.
+void check_maintained_costs(const LinearProgram& lp, std::size_t checks,
+                            DriftTally& tally, const std::string& where) {
+  for (BasisEngineKind kind :
+       {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
+    SimplexOptions opts;
+    opts.engine = kind;
+    opts.refactor_interval = 8;
+    const std::string tag = where + " " + engine_name(kind);
+
+    SimplexState full(lp, opts);
+    const LpSolution cold = full.solve();
+    expect_maintained_costs_match(
+        lp, opts, cold.iterations, std::max<std::size_t>(1, cold.iterations / checks),
+        [](SimplexState&) {}, tally, tag + " primal");
+    if (cold.status != SolveStatus::kOptimal) continue;
+
+    // Cut the first few fractional structurals to their lower half.
+    std::vector<std::pair<int, double>> cuts;
+    for (int v = 0; v < lp.num_variables() && cuts.size() < 3; ++v) {
+      const double lo = full.lower(v);
+      if (std::isfinite(lo) && cold.x[v] > lo + 1e-3 &&
+          cold.x[v] < full.upper(v) - 1e-3) {
+        cuts.emplace_back(v, lo + 0.5 * (cold.x[v] - lo));
+      }
+    }
+    if (cuts.empty()) continue;
+    const Basis start = full.extract_basis();
+    const auto prepare = [&](SimplexState& s) {
+      ASSERT_TRUE(s.load_basis(start));
+      for (const auto& [v, up] : cuts) s.set_bounds(v, s.lower(v), up);
+    };
+    opts.reentry = ReentryKind::kDual;
+    SimplexState probe(lp, opts);
+    prepare(probe);
+    const LpSolution warm = probe.solve();
+    expect_maintained_costs_match(
+        lp, opts, warm.iterations, std::max<std::size_t>(1, warm.iterations / checks),
+        prepare, tally, tag + " dual");
+  }
+}
+
+}  // namespace
+
+TEST(LpDifferential, MaintainedReducedCostsMatchFreshRecompute) {
+  // The reduced costs both loops price from are updated along pivot
+  // rows, never recomputed, between rebuilds. Stopped anywhere in a
+  // primal or dual walk, they must equal a from-scratch recompute over
+  // the current basis to 1e-9 relative — through eta chains, bound
+  // flips, phase-1 cost folds and refactorizations.
+  DriftTally tally;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    check_maintained_costs(gen_sparse_lp(seed), 1000, tally,
+                           "sparse seed=" + std::to_string(seed));
+    check_maintained_costs(gen_bounded_lp(seed), 1000, tally,
+                           "bounded seed=" + std::to_string(seed));
+    check_maintained_costs(gen_partition_shaped(seed, false), 1000, tally,
+                           "partition seed=" + std::to_string(seed));
+  }
+  check_maintained_costs(testgen::gen_partition_at_scale(3), 12, tally,
+                         "at-scale seed=3");
+  EXPECT_GE(tally.compared, 1000);
+  EXPECT_GE(tally.mid_eta_chain, 400);
+  EXPECT_GE(tally.past_refactor, 100);
 }

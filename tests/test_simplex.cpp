@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "ilp/simplex.hpp"
 
@@ -398,4 +399,34 @@ TEST(BasisReject, StaleBoundsBasisLoadsAndResnaps) {
   EXPECT_TRUE(lenient.load_basis(b));
   EXPECT_EQ(lenient.last_load_reject(), BasisRejectReason::kNone);
   EXPECT_EQ(lenient.solve().status, SolveStatus::kOptimal);
+}
+
+TEST(Simplex, ViolationsEachWithinToleranceDoNotReadAsInfeasible) {
+  // Crash basis: every x_i at its upper bound 1 + 5e-8, so every slack
+  // of x_i <= 1 sits 5e-8 below zero — each within the 1e-7 tolerance,
+  // but together past it. Pricing charges a phase-1 cost only beyond
+  // the tolerance, so phase 1 must not start (it would price all-zero
+  // costs and report the feasible LP infeasible); with two such rows
+  // the sum stays under the tolerance and the LP always solved.
+  for (BasisEngineKind engine :
+       {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
+    for (ReentryKind reentry : {ReentryKind::kPhase1, ReentryKind::kDual}) {
+      for (int n : {2, 3, 5}) {
+        LinearProgram lp;
+        for (int i = 0; i < n; ++i) {
+          const int x = lp.add_variable("x" + std::to_string(i), 0.0,
+                                        1.0 + 5e-8, -1.0, false);
+          lp.add_constraint(make({{x, 1.0}}, Relation::kLe, 1.0));
+        }
+        SimplexOptions opts;
+        opts.engine = engine;
+        opts.reentry = reentry;
+        const auto sol = SimplexSolver().solve(lp, opts);
+        ASSERT_EQ(sol.status, SolveStatus::kOptimal)
+            << engine_name(engine) << " " << reentry_name(reentry)
+            << " n=" << n;
+        EXPECT_NEAR(sol.objective, -static_cast<double>(n), 1e-6);
+      }
+    }
+  }
 }
