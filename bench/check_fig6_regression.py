@@ -84,10 +84,6 @@ def main():
                     help="extra snapshots for a report-only wall-clock "
                          "trend table (oldest first); the fresh run is "
                          "appended automatically")
-    ap.add_argument("--max-fallback-share", type=float, default=None,
-                    help="for a fresh run with reentry=dual: fail when "
-                         "phase-1 fallbacks exceed this fraction of all "
-                         "dual re-entry attempts (e.g. 0.05)")
     ap.add_argument("--require-identical-walk", action="store_true",
                     help="fail unless every sweep point has the reference's "
                          "LP iterations, nodes, objective and proved flag")
@@ -109,12 +105,11 @@ def main():
     # equal node budgets the reference cannot have proved a point with
     # far more search than the fresh run, so a newly proved point can't
     # inject headroom that masks a regression elsewhere. The re-entry
-    # mode and pricing rule are protocol too: the dual path is gated
-    # against a dual reference, never against the phase-1 walk (old
-    # snapshots predate the fields and default to the historical
-    # phase1/dantzig configuration; fresh runs omit "pricing", since
-    # Dantzig is the only rule left, while older snapshots may name a
-    # since-removed rule).
+    # mode and pricing rule are protocol too: snapshots of the since-
+    # removed dual re-entry path (reentry "dual") or of a since-removed
+    # pricing rule never match a fresh run. Fresh runs omit both fields,
+    # since phase 1 and Dantzig are the only ones left, and so do the
+    # oldest snapshots: both default to phase1/dantzig.
     for key, default in (("per_solve_limit_s", None),
                          ("max_nodes_per_solve", None),
                          ("reentry", "phase1"),
@@ -126,21 +121,6 @@ def main():
             if args.require_protocol_match:
                 sys.exit(msg)
             print(f"warning: {msg}")
-
-    # Dual-path health gate: a re-entry that punts to phase 1 got no
-    # value out of the warm dual-feasible basis. Report always, enforce
-    # when asked.
-    if new.get("reentry", "phase1") == "dual":
-        attempts = (new.get("total_dual_reentries", 0) +
-                    new.get("total_phase1_fallbacks", 0))
-        share = (new.get("total_phase1_fallbacks", 0) / attempts
-                 if attempts else 0.0)
-        print(f"dual re-entry fallback share: {share:.4f} "
-              f"({new.get('total_phase1_fallbacks', 0)} of {attempts})")
-        if args.max_fallback_share is not None and \
-                share > args.max_fallback_share:
-            sys.exit(f"phase-1 fallback share {share:.4f} exceeds "
-                     f"--max-fallback-share {args.max_fallback_share}")
 
     ref_proved = ref["proved"]
     new_proved = new["proved"]

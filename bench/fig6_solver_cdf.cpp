@@ -12,7 +12,6 @@
 // finishes in minutes rather than hours.
 //
 // Usage: bench_fig6_solver_cdf [--engine={auto,dense,lu}] [--threads=K]
-//                              [--reentry={phase1,dual}]
 //                              [runs] [per_solve_limit_s] [max_nodes]
 //                              [mode]
 //   --engine   basis factorization engine for the node LPs: "dense"
@@ -20,13 +19,9 @@
 //              file), or "auto" (resolve by row count). Defaults:
 //              auto for warm mode, dense for seed mode (fidelity to
 //              the pre-LU solver).
-//   --reentry  how warm node re-solves restore feasibility after bound
-//              edits: "phase1" (default; composite phase-1 repair, the
-//              historical walk) or "dual" (dual simplex from the still
-//              dual-feasible parent basis, phase-1 fallback on
-//              failure). Per-run re-entry telemetry lands in the JSON.
-//   --threads  branch-and-bound workers per solve (default 1; 0 =
-//              hardware concurrency). The determinism contract holds
+//   --threads  branch-and-bound workers per solve, a non-negative
+//              decimal integer (default 1; 0 = hardware concurrency;
+//              anything else exits 1). The determinism contract holds
 //              at any K — identical objectives and proof outcomes —
 //              so the sweep's per-point objective record doubles as a
 //              cross-thread-count consistency check. Per-point steal /
@@ -39,6 +34,7 @@
 //   mode       "warm" (default; persistent simplex state, reduced-cost
 //              fixing) or "seed" (cold per-node LPs, no fixing — the
 //              pre-warm-start solver, for baseline comparisons).
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -51,26 +47,26 @@
 
 int main(int argc, char** argv) {
   using namespace wishbone;
-  // Split --engine= off the positional arguments.
+  // Split the -- flags off the positional arguments.
   bool engine_given = false;
   ilp::BasisEngineKind engine = ilp::BasisEngineKind::kAuto;
-  ilp::ReentryKind reentry = ilp::ReentryKind::kPhase1;
   std::size_t threads = 1;
   std::vector<const char*> pos;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--threads=", 10) == 0) {
-      threads = static_cast<std::size_t>(std::atoll(argv[a] + 10));
-    } else if (std::strncmp(argv[a], "--reentry=", 10) == 0) {
+      // Digits only: atoll would read "abc" as 0 (hardware concurrency)
+      // and "-1" as a huge count the library clamps to its worker cap.
       const char* v = argv[a] + 10;
-      if (std::strcmp(v, "phase1") == 0) {
-        reentry = ilp::ReentryKind::kPhase1;
-      } else if (std::strcmp(v, "dual") == 0) {
-        reentry = ilp::ReentryKind::kDual;
-      } else {
+      const std::size_t len = std::strlen(v);
+      errno = 0;
+      const unsigned long long k = std::strtoull(v, nullptr, 10);
+      if (len == 0 || std::strspn(v, "0123456789") != len || errno != 0) {
         std::fprintf(stderr,
-                     "unknown reentry '%s' (expected phase1, dual)\n", v);
+                     "bad threads '%s' (expected a non-negative integer)\n",
+                     v);
         return 1;
       }
+      threads = static_cast<std::size_t>(k);
     } else if (std::strncmp(argv[a], "--engine=", 9) == 0) {
       const char* v = argv[a] + 9;
       if (std::strcmp(v, "dense") == 0) {
@@ -130,8 +126,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> discover, prove, objectives, proved, point_nodes,
       point_iters, point_wall, point_refacs, point_etas, point_steals,
-      point_reloads, point_idle, point_dual_reentries, point_fallbacks,
-      point_ftran_calls, point_ftran_nnz, point_factor_entries,
+      point_reloads, point_idle, point_ftran_calls, point_ftran_nnz, point_factor_entries,
       point_btran_calls, point_btran_unit_calls, point_btran_unit_nnz,
       point_rc_rebuilds;
   std::size_t feasible = 0;
@@ -144,11 +139,8 @@ int main(int argc, char** argv) {
   std::size_t eta_len_peak = 0;
   std::size_t total_steals = 0;
   std::size_t total_reloads = 0;
-  std::size_t total_dual_reentries = 0;
   std::size_t total_phase1_reentries = 0;
-  std::size_t total_fallbacks = 0;
   std::size_t total_primal_pivots = 0;
-  std::size_t total_dual_pivots = 0;
   std::size_t threads_used = threads;
   double total_idle_s = 0.0;
   const char* engine_ran = ilp::engine_name(engine);
@@ -169,7 +161,6 @@ int main(int argc, char** argv) {
     partition::PartitionOptions opts;
     opts.mip.time_limit_s = per_solve_limit_s;
     opts.mip.lp.engine = engine;
-    opts.mip.lp.reentry = reentry;
     opts.mip.threads = threads;
     if (max_nodes > 0) opts.mip.max_nodes = max_nodes;
     if (seed_solver) {
@@ -207,14 +198,8 @@ int main(int argc, char** argv) {
     point_steals.push_back(static_cast<double>(r.solver.steals));
     point_reloads.push_back(static_cast<double>(r.solver.snapshot_reloads));
     point_idle.push_back(r.solver.idle_s_total);
-    point_dual_reentries.push_back(
-        static_cast<double>(r.solver.dual_reentries));
-    point_fallbacks.push_back(static_cast<double>(r.solver.phase1_fallbacks));
-    total_dual_reentries += r.solver.dual_reentries;
     total_phase1_reentries += r.solver.phase1_reentries;
-    total_fallbacks += r.solver.phase1_fallbacks;
     total_primal_pivots += r.solver.primal_pivots;
-    total_dual_pivots += r.solver.dual_pivots;
     total_steals += r.solver.steals;
     total_reloads += r.solver.snapshot_reloads;
     total_idle_s += r.solver.idle_s_total;
@@ -300,12 +285,8 @@ int main(int argc, char** argv) {
                 sum(point_rc_rebuilds), units,
                 per(sum(point_btran_unit_nnz), units));
   }
-  std::printf("re-entry (%s): %zu dual re-entries, %zu "
-              "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
-              "primal / %zu dual\n",
-              ilp::reentry_name(reentry),
-              total_dual_reentries, total_phase1_reentries, total_fallbacks,
-              total_primal_pivots, total_dual_pivots);
+  std::printf("re-entry: %zu phase-1 re-entries; %zu primal pivots\n",
+              total_phase1_reentries, total_primal_pivots);
   if (threads_used > 1) {
     std::printf("parallel search: %zu steals, %zu snapshot reloads, "
                 "%.2f s summed worker idle\n",
@@ -318,7 +299,6 @@ int main(int argc, char** argv) {
   j.set("bench", std::string("fig6_solver_cdf"));
   j.set("mode", std::string(seed_solver ? "seed" : "warm"));
   j.set("engine", std::string(engine_ran));
-  j.set("reentry", std::string(ilp::reentry_name(reentry)));
   j.set("threads", threads_used);
   j.set("runs", runs);
   j.set("per_solve_limit_s", per_solve_limit_s);
@@ -331,11 +311,8 @@ int main(int argc, char** argv) {
   j.set("total_basis_refactorizations", total_refacs);
   j.set("total_eta_updates", total_etas);
   j.set("eta_len_peak", eta_len_peak);
-  j.set("total_dual_reentries", total_dual_reentries);
   j.set("total_phase1_reentries", total_phase1_reentries);
-  j.set("total_phase1_fallbacks", total_fallbacks);
   j.set("total_primal_pivots", total_primal_pivots);
-  j.set("total_dual_pivots", total_dual_pivots);
   j.set("total_steals", total_steals);
   j.set("total_snapshot_reloads", total_reloads);
   j.set("total_idle_s", total_idle_s);
@@ -358,8 +335,6 @@ int main(int argc, char** argv) {
   j.set_array("steals_per_point", point_steals);
   j.set_array("snapshot_reloads_per_point", point_reloads);
   j.set_array("idle_s_per_point", point_idle);
-  j.set_array("dual_reentries_per_point", point_dual_reentries);
-  j.set_array("phase1_fallbacks_per_point", point_fallbacks);
   // Work per basis-engine layer, per point (deterministic counts, no
   // clocks): which layer moved can be read from here alone.
   // ftran_nnz / ftran_calls is the mean FTRAN result size (the work

@@ -573,10 +573,14 @@ void LuBasisEngine::solve(IndexedVector& out) const {
 }
 
 void LuBasisEngine::btran_unit(int r, IndexedVector& out) const {
-  // A dense result makes the reach bookkeeping pure overhead (the dual
-  // loop's rows run ~58% dense on the Fig. 6 sweep, the primal loop's
-  // ~5%). Past kHyperDensity, predicted from recent calls, run the
-  // dense pass on e_r instead; both give the same values.
+  // A dense result makes the reach bookkeeping pure overhead. Phase-1
+  // pivot rows average 37 of 1015 nonzeros on the Fig. 6 sweep, but
+  // they come in dense runs: this switch takes the dense pass on 13% of
+  // the calls of `bench_fig6_solver_cdf 16 300 400` and on 17% / 10% of
+  // perfbench fig6_sweep / serve_drift, and forcing the reach there
+  // cost fig6_sweep ~6% throughput. Past kHyperDensity, predicted from
+  // recent calls, run the dense pass on e_r instead; both give the
+  // same values.
   constexpr double kHyperDensity = 0.10;
   if (unit_density_ > kHyperDensity) {
     std::vector<double>& z = out.values;

@@ -6,8 +6,8 @@
 //   factorize   rebuild the factorization from the basis columns
 //   ftran       x = B^-1 a            (pivot directions, basic values)
 //   btran       y = B^-T c            (duals: rebuilding the reduced costs)
-//   btran_unit  rho = B^-T e_r        (row r of B^-1: the pivot row both
-//               simplex loops update the reduced costs from)
+//   btran_unit  rho = B^-T e_r        (row r of B^-1: the pivot row the
+//               simplex updates its reduced costs from)
 //   update      absorb one pivot: column `leave_row` of B replaced by
 //               the entering column whose FTRAN image is `w`
 //

@@ -166,14 +166,17 @@ struct MipResult {
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
   /// Re-entry / pivot telemetry summed over every worker's
-  /// SimplexState (see SimplexTelemetry): how node re-solves restored
-  /// feasibility (dual simplex vs composite phase 1), how often a
-  /// dual-mode solve had to fall back, and pivot counts per loop.
-  std::size_t dual_reentries = 0;
+  /// SimplexState (see SimplexTelemetry): how many node re-solves began
+  /// primal-infeasible and needed phase-1 repair, and the pivots taken.
   std::size_t phase1_reentries = 0;
-  std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;
-  std::size_t dual_pivots = 0;
+  /// Always 0: the solver has no dual re-entry loop. Kept only because
+  /// the benchmark's layer report (perfbench/src/layers.cpp) still reads
+  /// it; the next change to the benchmark drops it.
+  std::size_t dual_reentries = 0;
+  /// Always 0, for the same reason as dual_reentries: phase 1 is the
+  /// only re-entry path, so nothing can fall back to it.
+  std::size_t phase1_fallbacks = 0;
 
   /// Parallel-search telemetry: the worker count the solve actually ran
   /// with (MipOptions::threads == 0 resolved), one entry per worker,

@@ -222,11 +222,8 @@ class Search {
       res.btran_unit_calls += e.basis.btran_unit_calls;
       res.btran_unit_nnz += e.basis.btran_unit_nnz;
       res.reduced_cost_rebuilds += e.tel.reduced_cost_rebuilds;
-      res.dual_reentries += e.tel.dual_reentries;
       res.phase1_reentries += e.tel.phase1_reentries;
-      res.phase1_fallbacks += e.tel.phase1_fallbacks;
       res.primal_pivots += e.tel.primal_pivots;
-      res.dual_pivots += e.tel.dual_pivots;
     }
 
     // Proven lower bound: the least bound among unexplored nodes (no
@@ -270,16 +267,10 @@ class Search {
         reg.counter("wishbone_bnb_basis_refactorizations");
     static obs::Counter* const warm_rejected =
         reg.counter("wishbone_bnb_warm_basis_rejected");
-    static obs::Counter* const reentries_dual =
-        reg.counter("wishbone_bnb_reentries", {{"mode", "dual"}});
     static obs::Counter* const reentries_phase1 =
         reg.counter("wishbone_bnb_reentries", {{"mode", "phase1"}});
-    static obs::Counter* const fallbacks =
-        reg.counter("wishbone_bnb_phase1_fallbacks");
     static obs::Counter* const pivots_primal =
         reg.counter("wishbone_bnb_pivots", {{"loop", "primal"}});
-    static obs::Counter* const pivots_dual =
-        reg.counter("wishbone_bnb_pivots", {{"loop", "dual"}});
     solves->inc();
     nodes->inc(res.nodes_explored);
     lp_iters->inc(res.lp_iterations);
@@ -287,11 +278,8 @@ class Search {
     reloads->inc(res.snapshot_reloads);
     refactors->inc(res.basis_refactorizations);
     if (res.warm_basis_rejected) warm_rejected->inc();
-    reentries_dual->inc(res.dual_reentries);
     reentries_phase1->inc(res.phase1_reentries);
-    fallbacks->inc(res.phase1_fallbacks);
     pivots_primal->inc(res.primal_pivots);
-    pivots_dual->inc(res.dual_pivots);
   }
 
   /// Worker-private solving context: the whole point of the design is
@@ -538,26 +526,11 @@ class Search {
       if (ctx.state.load_basis(*nd.snapshot)) ++tel.snapshot_reloads;
     }
     if (!opts_.warm_lp) ctx.state.reset();  // seed behavior: cold per node
-    // Prune threshold doubles as the LP's dual cutoff: under dual
-    // re-entry the node LP stops the moment its (monotone) bound rises
-    // past the point where this node gets pruned anyway — LP-infeasible
-    // nodes in particular are cut off long before the full
-    // dual-unbounded proof. Racy incumbent read is sound: a stale value
-    // is only ever higher, which weakens the cutoff.
-    double lp_cutoff = kInf;
-    {
-      const double inc0 = incumbent_.load();
-      if (std::isfinite(inc0)) {
-        lp_cutoff = inc0 - std::max(opts_.gap_abs,
-                                    opts_.gap_rel * std::fabs(inc0));
-      }
-    }
-    const LpSolution rel = ctx.state.solve(lp_cutoff);
+    const LpSolution rel = ctx.state.solve();
     tel.lp_iterations += rel.iterations;
     ++tel.nodes_explored;
 
-    if (rel.status == SolveStatus::kInfeasible ||
-        rel.status == SolveStatus::kCutoff) {
+    if (rel.status == SolveStatus::kInfeasible) {
       complete(w);
       return;
     }

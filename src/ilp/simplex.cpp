@@ -7,14 +7,6 @@
 
 namespace wishbone::ilp {
 
-const char* reentry_name(ReentryKind kind) {
-  switch (kind) {
-    case ReentryKind::kPhase1: return "phase1";
-    case ReentryKind::kDual: return "dual";
-  }
-  return "?";
-}
-
 const char* basis_reject_name(BasisRejectReason reason) {
   switch (reason) {
     case BasisRejectReason::kNone: return "none";
@@ -419,7 +411,7 @@ const std::vector<double>& SimplexState::reduced_costs() {
   return reduced_costs_;
 }
 
-LpSolution SimplexState::solve(double cutoff) {
+LpSolution SimplexState::solve() {
   LpSolution sol;
   iters_ = 0;
   degenerate_run_ = 0;
@@ -429,80 +421,12 @@ LpSolution SimplexState::solve(double cutoff) {
     basics_dirty_ = false;
   }
   // Bound edits moved basic values, and with them the phase-1 costs:
-  // the first loop to price rebuilds d_.
+  // the first phase to price rebuilds d_. A basic more than eps outside
+  // a bound is what the phase-1 costs act on, so phase 1 runs while one
+  // exists (not while the summed violations exceed eps: many tolerable
+  // violations may sum past eps with nothing to price).
   d_costs_ = Costs::kNone;
   load_phase1_costs();
-
-  // Dual warm re-entry: bound edits leave reduced costs untouched, so
-  // a previously optimal basis is still dual-feasible and the dual
-  // simplex restores primal feasibility while *preserving* optimality —
-  // the textbook warm-start path for branch-and-bound children, where
-  // phase-1 repair discards the dual information and re-proves
-  // optimality from scratch. The phase-1/phase-2 loops below still run
-  // afterwards as the numerical safety net and the optimality proof
-  // (both are no-ops when the dual loop finished clean).
-  // A basic more than eps outside a bound is what both the dual loop's
-  // leaving-row choice and the phase-1 costs act on, so the loops run
-  // while one exists (not while the summed violations exceed eps: many
-  // tolerable violations may sum past eps with nothing to price).
-  if (opts_.reentry == ReentryKind::kDual && infeasible_rows_ > 0) {
-    if (dual_feasible()) {
-      ++tel_.dual_reentries;
-      sol.dual_reentry = true;
-      const std::size_t dual_start = iters_;
-      bool abandoned = false;
-      for (;;) {
-        const StepOutcome oc = dual_iterate();
-        if (oc == StepOutcome::kPivoted) {
-          // Early bound cutoff: dual-feasible iterates price a valid
-          // lower bound, and it only ever rises — past the caller's
-          // cutoff this node is pruned whatever the exact optimum. The
-          // slack absorbs the tolerance-level reduced-cost slips the
-          // Harris ratio test admits (the bound is exact only under
-          // exact dual feasibility), so a borderline node is never cut
-          // off on bound noise alone.
-          if (std::isfinite(cutoff)) {
-            const double slack =
-                10.0 * opts_.eps * (1.0 + std::fabs(cutoff));
-            double z = 0.0;
-            for (int j = 0; j < n_struct_; ++j) z += cost_[j] * x_[j];
-            if (z >= cutoff + slack) {
-              sol.iterations = iters_;
-              sol.dual_iterations = iters_ - dual_start;
-              sol.objective = z;
-              sol.status = SolveStatus::kCutoff;
-              return sol;
-            }
-          }
-          continue;
-        }
-        if (oc == StepOutcome::kNoDirection) break;  // primal feasible
-        if (oc == StepOutcome::kNumericalTrouble) {
-          abandoned = true;  // refactorized; phase 1 takes over
-          break;
-        }
-        sol.iterations = iters_;
-        sol.dual_iterations = iters_ - dual_start;
-        if (oc == StepOutcome::kUnbounded) {
-          // Dual unbounded along the violated row: no admissible
-          // entering column can absorb it — the primal is infeasible.
-          sol.status = SolveStatus::kInfeasible;
-        } else {
-          sol.status = SolveStatus::kIterationLimit;
-        }
-        return sol;
-      }
-      sol.dual_iterations = iters_ - dual_start;
-      if (abandoned) ++tel_.phase1_fallbacks;
-      degenerate_run_ = 0;
-      candidates_.clear();  // dual pivots staled the primal price list
-    } else {
-      // Not dual-feasible at entry (cost-perturbed or foreign basis):
-      // composite phase 1 is the only repair path.
-      ++tel_.phase1_fallbacks;
-    }
-  }
-  if (d_costs_ != Costs::kPhase1) load_phase1_costs();
   if (infeasible_rows_ > 0) ++tel_.phase1_reentries;
 
   // Phase 1: drive basic-variable bound violations to zero, starting
@@ -755,262 +679,6 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
 
   ++tel_.primal_pivots;
   // Periodic refresh to contain floating-point drift.
-  if (iters_ % 512 == 0) {
-    recompute_basic_values();
-    d_costs_ = Costs::kNone;
-  }
-  return StepOutcome::kPivoted;
-}
-
-bool SimplexState::dual_feasible() {
-  // Every nonbasic reduced cost must carry the sign its bound status
-  // requires for a *minimization*: at-lower columns d >= 0 (raising
-  // them cannot improve), at-upper d <= 0, free columns d == 0 — all
-  // within the reduced-cost tolerance. Bound edits never change
-  // reduced costs, so a basis that last solved to optimality passes
-  // — *except* that replaying a different subtree's bound deltas can
-  // leave a boxed nonbasic parked at the wrong bound for its reduced
-  // cost (e.g. a variable fixed-then-unfixed along the chain). Those
-  // are not genuine dual infeasibilities: flipping the variable to its
-  // other finite bound restores the sign condition without touching
-  // the basis or the duals, so repair them here instead of punting the
-  // whole re-entry to phase 1. Only a free column (or one whose
-  // opposite bound is infinite) with a wrong-signed reduced cost
-  // forces the fallback.
-  rebuild_reduced_costs(Costs::kPhase2);
-  const int n_total = n_struct_ + m_;
-  bool ok = true;
-  bool flipped = false;
-  for (int j = 0; j < n_total; ++j) {
-    if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-    const double d = d_[j];
-    const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
-    if (is_free) {
-      if (std::fabs(d) > opts_.eps) ok = false;
-    } else if (at_upper_[j]) {
-      if (d > opts_.eps) {
-        if (!std::isfinite(lo_[j])) {
-          ok = false;
-        } else {
-          x_[j] = lo_[j];
-          at_upper_[j] = false;
-          flipped = true;
-        }
-      }
-    } else {
-      if (d < -opts_.eps) {
-        if (!std::isfinite(up_[j])) {
-          ok = false;
-        } else {
-          x_[j] = up_[j];
-          at_upper_[j] = true;
-          flipped = true;
-        }
-      }
-    }
-  }
-  // Flips move nonbasic values, so the basic values must be re-derived
-  // — also on the failure path, where phase 1 takes over from the
-  // (legal) flipped point.
-  if (flipped) recompute_basic_values();
-  return ok;
-}
-
-SimplexState::StepOutcome SimplexState::dual_iterate() {
-  if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
-  ++iters_;
-
-  // --- Leaving row: the largest bound violation (Bland regime:
-  // smallest variable index, mirroring the primal anti-cycling guard).
-  const bool bland = degenerate_run_ >= 50;
-  int leave_row = -1;
-  double best_infeas = 0.0;
-  double dir = 0.0;  // +1: violated above upper; -1: below lower
-  for (int k = 0; k < m_; ++k) {
-    const int v = basic_[k];
-    const double above = x_[v] - up_[v];
-    const double below = lo_[v] - x_[v];
-    const double infeas = std::max(above, below);
-    if (infeas <= opts_.eps) continue;
-    if (bland) {
-      if (leave_row < 0 || v < basic_[leave_row]) {
-        leave_row = k;
-        dir = (above >= below) ? 1.0 : -1.0;
-      }
-    } else {
-      if (leave_row < 0 || infeas > best_infeas) {
-        best_infeas = infeas;
-        leave_row = k;
-        dir = (above >= below) ? 1.0 : -1.0;
-      }
-    }
-  }
-  if (leave_row < 0) return StepOutcome::kNoDirection;  // primal feasible
-
-  const int leaving = basic_[leave_row];
-  const double target = (dir > 0.0) ? up_[leaving] : lo_[leaving];
-
-  // --- Pivot row alpha_j = rho . A_j, rho = B^-T e_r; the ratio test
-  // reads the maintained reduced costs.
-  if (d_costs_ != Costs::kPhase2) rebuild_reduced_costs(Costs::kPhase2);
-  pivot_row(leave_row);
-
-  // --- Dual ratio test. Orient the pivot row toward the violation:
-  // abar_j = dir * alpha_j. A nonbasic column is an admissible
-  // entering candidate when moving it off its bound pulls the leaving
-  // variable toward `target`: at-lower columns need abar > 0, at-upper
-  // abar < 0, free columns qualify either way. theta_j = d_j / abar_j
-  // (>= 0 under dual feasibility) is the dual step length at which
-  // column j's reduced cost crosses zero — the smallest theta keeps
-  // every other reduced cost sign-correct.
-  // Columns off alpha_'s pattern have alpha_j == 0 and never qualify;
-  // the candidates are sorted by (theta, j), so the pattern's order
-  // does not matter.
-  dual_cands_.clear();
-  for (int j : alpha_.pattern) {
-    if (in_basis_[j] >= 0 || lo_[j] == up_[j]) continue;
-    const double abar = dir * alpha_.values[j];
-    if (std::fabs(abar) <= opts_.pivot_eps) continue;
-    const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
-    if (!is_free && (at_upper_[j] ? (abar > 0.0) : (abar < 0.0))) continue;
-    DualCand c;
-    c.theta = std::max(d_[j] / abar, 0.0);  // clamp tolerance-level negatives
-    c.j = j;
-    c.abar = abar;
-    dual_cands_.push_back(c);
-  }
-  if (dual_cands_.empty()) {
-    // No column can absorb the violated row: the dual is unbounded
-    // along e_r, i.e. the primal is infeasible.
-    return StepOutcome::kUnbounded;
-  }
-  std::sort(dual_cands_.begin(), dual_cands_.end(),
-            [](const DualCand& a, const DualCand& b) {
-              if (a.theta != b.theta) return a.theta < b.theta;
-              return a.j < b.j;  // deterministic, Bland-style tie-break
-            });
-
-  // --- Bound-flip ratio test: a candidate whose whole span absorbs
-  // less violation than remains can jump to its other bound instead of
-  // entering; the dual step then passes its theta (its reduced cost
-  // changes sign, which the flip makes consistent) and the walk
-  // continues with the next candidate. Skipped in the Bland regime —
-  // flips are the kind of extra move the anti-cycling argument
-  // excludes.
-  double delta_rem = std::fabs(x_[leaving] - target);
-  flip_scratch_.clear();
-  std::size_t pick = 0;
-  if (!bland) {
-    while (pick + 1 < dual_cands_.size()) {
-      const DualCand& c = dual_cands_[pick];
-      const double span = up_[c.j] - lo_[c.j];
-      if (!std::isfinite(span)) break;
-      const double absorb = std::fabs(c.abar) * span;
-      if (absorb >= delta_rem - opts_.eps) break;
-      flip_scratch_.push_back(c.j);
-      delta_rem -= absorb;
-      ++pick;
-    }
-  }
-  // Harris two-pass ratio test over the remaining candidates. Pass 1:
-  // the largest dual step that keeps every reduced cost within the
-  // tolerance, theta_H = min_q (d_q + eps)/|abar_q| — a candidate with
-  // a tiny pivot element hardly constrains it. Pass 2: among the
-  // candidates whose own theta fits under theta_H, enter the one with
-  // the largest |abar|. The payoff on this massively degenerate model
-  // is the primal step t = infeas/alpha_q: the strict-minimum rule
-  // breaks its many theta ties by index and routinely lands on a
-  // near-pivot_eps element, whose huge t knocks a dozen other basics
-  // out of their bounds (measured ~12 follow-on violations per entry
-  // violation); maximizing |abar| keeps t small and the repair local.
-  // The tolerance-level reduced-cost slips this admits are exactly the
-  // ones dual_feasible() already tolerates, and later iterations clamp
-  // them to degenerate steps. Bland regime keeps the strict minimum
-  // for the anti-cycling argument.
-  std::size_t chosen_ix = pick;
-  if (!bland) {
-    double theta_h = kInf;
-    for (std::size_t q = pick; q < dual_cands_.size(); ++q) {
-      const double cap =
-          dual_cands_[q].theta + opts_.eps / std::fabs(dual_cands_[q].abar);
-      if (cap < theta_h) theta_h = cap;
-    }
-    double best_abar = 0.0;
-    for (std::size_t q = pick; q < dual_cands_.size(); ++q) {
-      if (dual_cands_[q].theta > theta_h) continue;
-      const double mag = std::fabs(dual_cands_[q].abar);
-      if (mag > best_abar) {
-        best_abar = mag;
-        chosen_ix = q;
-      }
-    }
-  }
-  const DualCand chosen = dual_cands_[chosen_ix];
-  const int enter = chosen.j;
-
-  if (!flip_scratch_.empty()) {
-    // Apply every flip with one accumulated FTRAN:
-    // x_B -= B^-1 (sum_j A_j dx_j).
-    rhs_scratch_.assign(m_, 0.0);
-    for (int j : flip_scratch_) {
-      const double nx = at_upper_[j] ? lo_[j] : up_[j];
-      const double dx = nx - x_[j];
-      at_upper_[j] = !at_upper_[j];
-      x_[j] = nx;
-      for (const auto& [row, coeff] : cols_[j]) {
-        rhs_scratch_[row] += coeff * dx;
-      }
-    }
-    engine_->ftran_dense(rhs_scratch_);
-    for (int i = 0; i < m_; ++i) x_[basic_[i]] -= rhs_scratch_[i];
-  }
-
-  // --- Entering direction w = B^-1 A_enter. Its leave_row entry must
-  // agree with the row-computed alpha (same sign, non-tiny): a
-  // disagreement means the factorization has drifted too far to trust
-  // this pivot — rebuild it and let the caller fall back to phase-1
-  // repair.
-  IndexedVector& w = w_scratch_;
-  engine_->ftran(cols_[enter], w);
-  const double alpha_q = w.values[leave_row];
-  if (std::fabs(alpha_q) <= opts_.pivot_eps ||
-      alpha_q * (dir * chosen.abar) <= 0.0) {
-    if (!engine_->factorize(cols_, basic_)) {
-      reset();
-      return StepOutcome::kIterLimit;
-    }
-    recompute_basic_values();
-    d_costs_ = Costs::kNone;
-    return StepOutcome::kNumericalTrouble;
-  }
-
-  degenerate_run_ = (chosen.theta <= opts_.eps && flip_scratch_.empty())
-                        ? degenerate_run_ + 1
-                        : 0;
-
-  // --- Pivot: move the entering column until the leaving variable
-  // lands exactly on its violated bound; the dual step theta_D =
-  // d_q / alpha_q moves every reduced cost along the pivot row.
-  update_reduced_costs(enter, leave_row, alpha_q);
-  const double t = (x_[leaving] - target) / alpha_q;
-  x_[enter] += t;
-  for (int k : w.pattern) x_[basic_[k]] -= t * w.values[k];
-  x_[leaving] = target;  // snap exactly to stop drift
-  at_upper_[leaving] = (dir > 0.0);
-  in_basis_[leaving] = -1;
-  basic_[leave_row] = enter;
-  in_basis_[enter] = leave_row;
-
-  if (!engine_->update(leave_row, w)) {
-    if (!engine_->factorize(cols_, basic_)) {
-      // Same contract as the primal loop: a post-pivot singular
-      // factorization leaves only the cold reset as a coherent state.
-      reset();
-      return StepOutcome::kIterLimit;
-    }
-    d_costs_ = Costs::kNone;
-  }
-  ++tel_.dual_pivots;
   if (iters_ % 512 == 0) {
     recompute_basic_values();
     d_costs_ = Costs::kNone;

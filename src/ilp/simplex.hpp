@@ -1,8 +1,7 @@
-// Bounded-variable revised Simplex — primal and dual — over a
-// pluggable basis engine (ilp/basis_lu.hpp): an explicit dense inverse
-// for small bases, or a Markowitz sparse LU with eta-file updates for
-// large ones. One pricing rule, Dantzig with a candidate list, serves
-// both loops.
+// Bounded-variable revised primal Simplex over a pluggable basis
+// engine (ilp/basis_lu.hpp): an explicit dense inverse for small bases,
+// or a Markowitz sparse LU with eta-file updates for large ones. One
+// pricing rule, Dantzig with a candidate list, serves both phases.
 //
 // This is the LP engine underneath branch and bound, standing in for
 // lp_solve's Simplex (§4.2.1 footnote 3). Integrality markers on the
@@ -22,8 +21,7 @@
 //    |d_j| beyond eps); it walks a short candidate list of recently
 //    attractive columns and falls back to a full scan only to rebuild
 //    the list or prove optimality;
-//  - the dual loop's leaving row is the largest bound violation;
-//  - both loops price from one maintained reduced-cost vector d over
+//  - both phases price from one maintained reduced-cost vector d over
 //    all n+m columns. After each basis change, d_j -= theta * alpha_j
 //    along the pivot row alpha = e_r^T B^-1 A (theta = d_q / alpha_q),
 //    built from a hypersparse BTRAN-unit and a row-wise copy of the
@@ -31,22 +29,17 @@
 //    changes is folded in through its own row's rho. A full BTRAN
 //    rebuilds d only at solve entry, on a phase switch, after a
 //    refactorization or the periodic refresh, when a step changes too
-//    many phase-1 costs at once, and once before a loop reports that
+//    many phase-1 costs at once, and once before a phase reports that
 //    no column can enter — that last rebuild is the optimality check;
-//  - in both loops Bland's rule (smallest index) takes over after a run
-//    of degenerate pivots to guard against cycling.
+//  - Bland's rule (smallest index) takes over after a run of
+//    degenerate pivots to guard against cycling.
 //
 // Warm starts: `SimplexState` keeps the factorized basis alive between
 // solves. Variable bound changes never touch the constraint matrix, so
 // after `set_bounds` the basis inverse stays valid and the next solve()
 // re-enters from the inherited basis — typically a handful of pivots
-// instead of a full cold start. Two re-entry modes exist: the default
-// (ReentryKind::kPhase1) repairs primal feasibility with the composite
-// phase-1 loop; ReentryKind::kDual notices that bound edits leave the
-// basis *dual*-feasible (reduced costs do not depend on bounds) and
-// runs the dual simplex instead, which restores primal feasibility
-// while preserving optimality — usually far fewer pivots on the
-// one-bound-changed child LPs of branch and bound. A basis can also be
+// instead of a full cold start. The composite phase-1 loop repairs
+// whatever primal feasibility the bound edits broke. A basis can also be
 // extracted and loaded across states for structurally identical models
 // (the refactorization path), which branch and bound and the rate
 // search use to chain closely related solves.
@@ -67,22 +60,7 @@ enum class SolveStatus {
   kInfeasible,
   kUnbounded,
   kIterationLimit,
-  /// Dual-simplex early exit: the objective — a valid lower bound while
-  /// the basis stays dual feasible — crossed the caller's cutoff, so
-  /// the caller will discard (prune) this solve's node no matter where
-  /// the optimum lands. Only produced when solve() is given a finite
-  /// cutoff under ReentryKind::kDual; x is not primal feasible.
-  kCutoff,
 };
-
-/// How solve() restores primal feasibility after bound edits.
-enum class ReentryKind {
-  kPhase1,  ///< composite phase-1 repair (the legacy default path)
-  kDual,    ///< dual simplex from the (still dual-feasible) basis;
-            ///< falls back to phase 1 when dual feasibility fails
-};
-
-[[nodiscard]] const char* reentry_name(ReentryKind kind);
 
 /// Why load_basis rejected (or would reject) an inherited basis.
 enum class BasisRejectReason {
@@ -99,8 +77,6 @@ struct LpSolution {
   double objective = 0.0;
   std::vector<double> x;  ///< structural variable values (model order)
   std::size_t iterations = 0;
-  std::size_t dual_iterations = 0;  ///< of `iterations`, dual-loop ones
-  bool dual_reentry = false;  ///< this solve re-entered via dual simplex
 };
 
 /// Cumulative re-entry / pivot telemetry of one SimplexState (across
@@ -108,13 +84,8 @@ struct LpSolution {
 /// primal-infeasible — a warm start whose bound edits broke feasibility
 /// or a cold crash basis needing repair.
 struct SimplexTelemetry {
-  std::size_t dual_reentries = 0;    ///< repaired by the dual simplex
   std::size_t phase1_reentries = 0;  ///< repaired by composite phase 1
-  /// Dual-mode solves that had to fall back to phase 1: the basis was
-  /// not dual-feasible at entry, or the dual loop hit numerical trouble.
-  std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;     ///< phase-1/2 pivots + bound flips
-  std::size_t dual_pivots = 0;       ///< dual-loop pivots
   /// Full rebuilds of the maintained reduced costs (one BTRAN each);
   /// every other iteration updates them from the pivot row.
   std::size_t reduced_cost_rebuilds = 0;
@@ -138,11 +109,6 @@ struct SimplexOptions {
   /// factorization better on large sparse bases, where each eta is
   /// cheap to apply but a factorization costs a full elimination).
   std::size_t refactor_interval = 0;
-  /// Warm re-entry mode after bound edits. kPhase1 (the default)
-  /// repairs with composite phase 1; kDual re-enters via
-  /// the dual simplex when the basis is dual-feasible (the usual case
-  /// for branch-and-bound children) and falls back to phase 1 when not.
-  ReentryKind reentry = ReentryKind::kPhase1;
 };
 
 /// A restorable snapshot of a simplex basis: the variable occupying
@@ -214,20 +180,9 @@ class SimplexState {
   [[nodiscard]] int num_structural() const { return n_struct_; }
   [[nodiscard]] int num_rows() const { return m_; }
 
-  /// Optimizes from the current basis (warm). Under ReentryKind::kDual
-  /// a dual-feasible basis is repaired by the dual simplex (phase-1
-  /// fallback otherwise); then phase 1 repairs any remaining primal
-  /// infeasibility and phase 2 minimizes the true objective.
-  ///
-  /// `cutoff`: while the dual loop runs, the objective is a valid,
-  /// monotonically nondecreasing lower bound on this LP's optimum —
-  /// once it reaches `cutoff` the solve stops with kCutoff instead of
-  /// grinding to feasibility (branch-and-bound prunes such nodes
-  /// regardless of the exact optimum; LP-infeasible nodes, whose bound
-  /// diverges, are cut off long before the dual-unbounded proof
-  /// completes). kInf (the default) never triggers, and the phase-1
-  /// path ignores the cutoff entirely — its iterates carry no bound.
-  [[nodiscard]] LpSolution solve(double cutoff = kInf);
+  /// Optimizes from the current basis (warm): phase 1 repairs any
+  /// primal infeasibility, then phase 2 minimizes the true objective.
+  [[nodiscard]] LpSolution solve();
 
   /// Discards the basis and returns to the cold-start crash basis (all
   /// slacks basic, structural variables at their preferred bound).
@@ -273,7 +228,7 @@ class SimplexState {
     kPhase1,  ///< composite phase 1 (+/-1 on basics beyond eps)
     kPhase2,  ///< the true objective
   };
-  /// The reduced costs both loops price from, over all n+m working
+  /// The reduced costs both phases price from, over all n+m working
   /// columns (structural, then one slack per row; basic columns read
   /// 0), and the objective they price. The differential tests stop a
   /// walk at an iteration limit and recompute them from the basis.
@@ -288,13 +243,6 @@ class SimplexState {
     kNoDirection,
     kUnbounded,
     kIterLimit,
-    kNumericalTrouble,  ///< dual loop: factorization drift, bail out
-  };
-
-  struct DualCand {
-    double theta = 0.0;  ///< dual ratio d_j / abar_j
-    int j = -1;          ///< nonbasic column
-    double abar = 0.0;   ///< oriented pivot-row entry
   };
 
   [[nodiscard]] double phase1_cost(int var) const;
@@ -324,16 +272,6 @@ class SimplexState {
   /// can enter.
   int price(bool bland, double& enter_sigma);
   StepOutcome iterate(bool phase1);
-  /// One dual simplex pivot (leaving row: largest bound violation;
-  /// entering column: the bound-flipping dual ratio test). Returns
-  /// kNoDirection when primal-feasible, kUnbounded when the dual is
-  /// unbounded (primal infeasible), kNumericalTrouble when the
-  /// row/column pivot values disagree and the caller should fall back
-  /// to phase-1 repair.
-  StepOutcome dual_iterate();
-  /// True when every nonbasic reduced cost has the sign its bound
-  /// status requires — the dual-simplex entry condition.
-  [[nodiscard]] bool dual_feasible();
   void snap_nonbasic(int j);
 
   const SimplexOptions opts_;
@@ -359,15 +297,13 @@ class SimplexState {
 
   std::vector<int> candidates_;          ///< partial-pricing list
   std::vector<double> reduced_costs_;    ///< structural view, per basis
-  std::vector<double> y_scratch_;        ///< dual scratch (size m)
+  std::vector<double> y_scratch_;        ///< duals of a rebuild (size m)
   IndexedVector w_scratch_;              ///< pivot direction (FTRAN image)
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
   IndexedVector rho_;                    ///< B^-T e_r of the pivot row
   IndexedVector alpha_;                  ///< pivot row, size n+m
   std::vector<std::uint8_t> alpha_in_;   ///< column listed in alpha_
-  std::vector<double> rhs_scratch_;      ///< basic-value / bound-flip rhs
-  std::vector<DualCand> dual_cands_;     ///< dual ratio-test candidates
-  std::vector<int> flip_scratch_;        ///< columns flipped this pivot
+  std::vector<double> rhs_scratch_;      ///< basic-value rhs
   std::vector<std::pair<int, double>> cost_moves_;  ///< (row, new c1)
 
   std::vector<double> d_;              ///< reduced costs, all n+m columns

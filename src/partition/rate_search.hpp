@@ -47,12 +47,9 @@ struct RateSearchResult {
   std::size_t total_steals = 0;
   std::size_t total_snapshot_reloads = 0;
   double total_idle_s = 0.0;
-  // Re-entry totals across all probes: how node re-solves restored
-  // primal feasibility when opts.partition.mip.lp.reentry selects the
-  // dual simplex (ReentryKind::kDual) for the warm probe chain.
-  std::size_t total_dual_reentries = 0;
+  /// Node re-solves across all probes that began primal-infeasible and
+  /// were repaired by composite phase 1 (see SimplexTelemetry).
   std::size_t total_phase1_reentries = 0;
-  std::size_t total_phase1_fallbacks = 0;
 };
 
 /// `problem_at(rate)` must build the partition problem for a given

@@ -191,108 +191,28 @@ TEST(LpDifferential, WarmReentryChainsAgree) {
   }
 }
 
-// ---------------- engine x re-entry cross product (dual engine)
+// ---------------- engine cross product
 
-namespace {
-
-SimplexOptions cfg_opts(BasisEngineKind engine, ReentryKind reentry) {
-  SimplexOptions o = engine_opts(engine);
-  o.reentry = reentry;
-  return o;
-}
-
-constexpr BasisEngineKind kEngines[] = {BasisEngineKind::kDense,
-                                        BasisEngineKind::kLu};
-constexpr ReentryKind kReentries[] = {ReentryKind::kPhase1,
-                                      ReentryKind::kDual};
-
-}  // namespace
-
-TEST(LpDifferential, EngineReentryCrossProductAgrees) {
-  // Every (engine, re-entry) configuration is the same solver: different
-  // pivot walks, identical answers. The dense/phase1 configuration (the
-  // reference walk) is the oracle.
+TEST(LpDifferential, EngineCrossProductAgrees) {
+  // The LU engine is the same solver as the dense one: a different
+  // pivot walk, identical answers. The dense walk is the oracle.
   const int trials = std::max(diff_trials() / 8, 25);
   for (int t = 0; t < trials; ++t) {
     const std::uint32_t seed = 50000u + static_cast<std::uint32_t>(t);
     const LinearProgram lp = gen_partition_shaped(seed, /*integral=*/false);
-    const LpSolution ref = SimplexSolver().solve(
-        lp, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1));
-    for (BasisEngineKind engine : kEngines) {
-      for (ReentryKind reentry : kReentries) {
-        const std::string label = std::string(engine_name(engine)) + "/" +
-                                  reentry_name(reentry) +
-                                  " seed=" + std::to_string(seed);
-        const LpSolution got =
-            SimplexSolver().solve(lp, cfg_opts(engine, reentry));
-        ASSERT_EQ(got.status, ref.status)
-            << label << "\nref: " << describe(ref)
-            << "\ngot: " << describe(got) << "\n" << lp.to_text();
-        if (ref.status != SolveStatus::kOptimal) continue;
-        const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
-        EXPECT_NEAR(got.objective, ref.objective, tol) << label;
-        EXPECT_LE(lp.max_violation(got.x), 1e-5)
-            << label << ": infeasible point";
-      }
-    }
-    if (::testing::Test::HasFatalFailure()) return;
+    const LpSolution ref =
+        SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kDense));
+    const std::string label = "lu seed=" + std::to_string(seed);
+    const LpSolution got =
+        SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kLu));
+    ASSERT_EQ(got.status, ref.status)
+        << label << "\nref: " << describe(ref)
+        << "\ngot: " << describe(got) << "\n" << lp.to_text();
+    if (ref.status != SolveStatus::kOptimal) continue;
+    const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
+    EXPECT_NEAR(got.objective, ref.objective, tol) << label;
+    EXPECT_LE(lp.max_violation(got.x), 1e-5) << label << ": infeasible point";
   }
-}
-
-TEST(LpDifferential, DualReentryChainsMatchPhaseOne) {
-  // The branch-and-bound edit pattern under the dual path: persistent
-  // states re-solving through chains of variable fixings. The dense
-  // phase-1 state is the oracle; each dual-path configuration
-  // must agree on status and objective after every edit. Aggregate
-  // telemetry proves the dual loop actually handled the re-entries
-  // instead of silently punting everything to phase 1.
-  const int chains = std::max(diff_trials() / 8, 15);
-  std::size_t dual_reentries = 0, fallbacks = 0;
-  std::mt19937 rng(0xD0A1);
-  for (int t = 0; t < chains; ++t) {
-    const std::uint32_t seed = 60000u + static_cast<std::uint32_t>(t);
-    const LinearProgram base = gen_partition_shaped(seed, false);
-    SimplexState oracle(
-        base, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1));
-    std::vector<SimplexState> duals;
-    duals.reserve(std::size(kEngines));
-    for (BasisEngineKind engine : kEngines) {
-      duals.emplace_back(base, cfg_opts(engine, ReentryKind::kDual));
-    }
-    const int n = base.num_variables();
-    for (int step = 0; step < 5; ++step) {
-      const int v = static_cast<int>(rng() % static_cast<unsigned>(n));
-      const double b = (rng() % 2) ? 1.0 : 0.0;
-      oracle.set_bounds(v, b, b);
-      for (auto& s : duals) s.set_bounds(v, b, b);
-
-      const LpSolution ref = oracle.solve();
-      for (std::size_t k = 0; k < duals.size(); ++k) {
-        const LpSolution got = duals[k].solve();
-        ASSERT_EQ(got.status, ref.status)
-            << "seed=" << seed << " step=" << step << " cfg=" << k
-            << "\nref: " << describe(ref) << "\ngot: " << describe(got);
-        if (ref.status != SolveStatus::kOptimal) continue;
-        const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
-        EXPECT_NEAR(got.objective, ref.objective, tol)
-            << "seed=" << seed << " step=" << step << " cfg=" << k;
-      }
-      if (ref.status != SolveStatus::kOptimal) break;
-    }
-    for (const auto& s : duals) {
-      dual_reentries += s.telemetry().dual_reentries;
-      fallbacks += s.telemetry().phase1_fallbacks;
-    }
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  EXPECT_GT(dual_reentries, 0u)
-      << "no chain ever exercised the dual re-entry path";
-  // Boxed-variable fixings keep the basis dual-feasible (wrong-bound
-  // nonbasics are repaired by bound flips), so fallbacks should be a
-  // rare numerical-trouble event, not the norm.
-  EXPECT_LE(fallbacks, dual_reentries / 10 + 1)
-      << fallbacks << " phase-1 fallbacks vs " << dual_reentries
-      << " dual re-entries";
 }
 
 // ----------------------------- medium instances (real eta/refactor use)
@@ -746,8 +666,8 @@ void expect_maintained_costs_match(
   }
 }
 
-/// Primal walks (cold solves) and dual walks (warm re-solves after
-/// branching-style bound cuts) of `lp`, both engines.
+/// Cold walks and warm walks (phase-1 re-solves from the optimal basis
+/// after branching-style bound cuts) of `lp`, both engines.
 void check_maintained_costs(const LinearProgram& lp, std::size_t checks,
                             DriftTally& tally, const std::string& where) {
   for (BasisEngineKind kind :
@@ -761,7 +681,7 @@ void check_maintained_costs(const LinearProgram& lp, std::size_t checks,
     const LpSolution cold = full.solve();
     expect_maintained_costs_match(
         lp, opts, cold.iterations, std::max<std::size_t>(1, cold.iterations / checks),
-        [](SimplexState&) {}, tally, tag + " primal");
+        [](SimplexState&) {}, tally, tag + " cold");
     if (cold.status != SolveStatus::kOptimal) continue;
 
     // Cut the first few fractional structurals to their lower half.
@@ -779,22 +699,21 @@ void check_maintained_costs(const LinearProgram& lp, std::size_t checks,
       ASSERT_TRUE(s.load_basis(start));
       for (const auto& [v, up] : cuts) s.set_bounds(v, s.lower(v), up);
     };
-    opts.reentry = ReentryKind::kDual;
     SimplexState probe(lp, opts);
     prepare(probe);
     const LpSolution warm = probe.solve();
     expect_maintained_costs_match(
         lp, opts, warm.iterations, std::max<std::size_t>(1, warm.iterations / checks),
-        prepare, tally, tag + " dual");
+        prepare, tally, tag + " warm");
   }
 }
 
 }  // namespace
 
 TEST(LpDifferential, MaintainedReducedCostsMatchFreshRecompute) {
-  // The reduced costs both loops price from are updated along pivot
+  // The reduced costs both phases price from are updated along pivot
   // rows, never recomputed, between rebuilds. Stopped anywhere in a
-  // primal or dual walk, they must equal a from-scratch recompute over
+  // cold or warm walk, they must equal a from-scratch recompute over
   // the current basis to 1e-9 relative — through eta chains, bound
   // flips, phase-1 cost folds and refactorizations.
   DriftTally tally;

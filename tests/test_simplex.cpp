@@ -170,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
                          ::testing::Range(1, 13));
 
 // ---------------------------------------------------------------------------
-// Dual warm re-entry (ReentryKind::kDual)
+// Warm phase-1 re-entry after bound edits
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -188,44 +188,35 @@ LinearProgram classic_lp() {
 
 }  // namespace
 
-TEST(SimplexDual, ReentryAfterBoundTightenMatchesPhaseOne) {
+TEST(SimplexReentry, BoundTightenRepairsFromWarmBasis) {
   const LinearProgram lp = classic_lp();
-
-  SimplexOptions dual_opts;
-  dual_opts.reentry = ReentryKind::kDual;
-  SimplexState dual_state(lp, dual_opts);
-  const auto cold = dual_state.solve();
+  SimplexState state(lp, SimplexOptions{});
+  const auto cold = state.solve();
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   EXPECT_NEAR(cold.objective, -36.0, 1e-6);
   // The crash basis (origin, slacks basic) is primal feasible here, so
-  // the cold solve is not a re-entry of any kind.
-  EXPECT_EQ(dual_state.telemetry().dual_reentries, 0u);
-  EXPECT_EQ(dual_state.telemetry().phase1_reentries, 0u);
+  // the cold solve is not a re-entry.
+  EXPECT_EQ(state.telemetry().phase1_reentries, 0u);
 
   // Tighten y's upper bound below its basic value (6): the basis is now
-  // primal infeasible but still dual feasible -> dual re-entry.
-  dual_state.set_bounds(1, 0.0, 4.0);
-  const auto warm = dual_state.solve();
+  // primal infeasible, and phase 1 repairs it from the warm basis.
+  state.set_bounds(1, 0.0, 4.0);
+  const auto warm = state.solve();
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_TRUE(warm.dual_reentry);
-  EXPECT_GT(warm.dual_iterations, 0u);
-  EXPECT_EQ(dual_state.telemetry().dual_reentries, 1u);
-  EXPECT_EQ(dual_state.telemetry().phase1_fallbacks, 0u);
-
-  // The phase-1 path over the same edit must agree on the optimum.
-  SimplexState p1_state(lp, SimplexOptions{});
-  ASSERT_EQ(p1_state.solve().status, SolveStatus::kOptimal);
-  p1_state.set_bounds(1, 0.0, 4.0);
-  const auto p1 = p1_state.solve();
-  ASSERT_EQ(p1.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(p1.dual_reentry);
-  EXPECT_NEAR(warm.objective, p1.objective, 1e-6);
   EXPECT_NEAR(warm.objective, -30.0, 1e-6);  // x=10/3, y=4
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
+
+  // A cold solve of the edited model agrees on the optimum.
+  LinearProgram edited = classic_lp();
+  edited.set_bounds(1, 0.0, 4.0);
+  const auto fresh = SimplexSolver().solve(edited);
+  ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(warm.objective, fresh.objective, 1e-6);
 }
 
-TEST(SimplexDual, RatioTestSurvivesDegenerateTies) {
-  // Six scaled copies of x+y<=4 meet at the optimal vertex, so the dual
-  // ratio test after the bound edit sees a wall of tied candidates.
+TEST(SimplexReentry, SurvivesDegenerateTies) {
+  // Six scaled copies of x+y<=4 meet at the optimal vertex, so the
+  // warm re-solve after the bound edit starts on a wall of ties.
   LinearProgram lp;
   const int x = lp.add_variable("x", 0.0, kInf, -1.0, false);
   const int y = lp.add_variable("y", 0.0, kInf, -1.0, false);
@@ -234,103 +225,74 @@ TEST(SimplexDual, RatioTestSurvivesDegenerateTies) {
         make({{x, static_cast<double>(k)}, {y, static_cast<double>(k)}},
              Relation::kLe, 4.0 * k));
   }
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 0u);
 
   state.set_bounds(x, 0.0, 1.0);
   state.set_bounds(y, 0.0, 2.0);
   const auto sol = state.solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -3.0, 1e-6);  // x=1, y=2
-  EXPECT_EQ(state.telemetry().phase1_fallbacks, 0u);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
 }
 
-TEST(SimplexDual, ReentryDetectsInfeasibleViaDualUnbounded) {
+TEST(SimplexReentry, ShrunkBoxesReportInfeasible) {
   // x+y >= 3 with generous boxes, then shrink both boxes so the row can
-  // no longer be satisfied. The dual loop must prove primal
-  // infeasibility (dual unboundedness), not spin or mislabel it.
+  // no longer be satisfied. The warm re-solve must prove primal
+  // infeasibility, not spin or mislabel it.
   LinearProgram lp;
   const int x = lp.add_variable("x", 0.0, 2.0, 1.0, false);
   const int y = lp.add_variable("y", 0.0, 2.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kGe, 3.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   const auto first = state.solve();
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
   EXPECT_NEAR(first.objective, 3.0, 1e-6);
+  // The crash basis violates the row, so even the cold solve repairs.
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
 
   state.set_bounds(x, 0.0, 1.0);
   state.set_bounds(y, 0.0, 1.0);
   EXPECT_EQ(state.solve().status, SolveStatus::kInfeasible);
-  EXPECT_EQ(state.telemetry().phase1_fallbacks, 0u);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 2u);
 }
 
-TEST(SimplexDual, CutoffStopsDualLoopEarly) {
-  const LinearProgram lp = classic_lp();
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
-  ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
-
-  // After the edit the optimum rises from -36 to -30; a cutoff of -34
-  // lies strictly between, so the dual loop's monotone lower bound must
-  // cross it and report kCutoff instead of finishing the re-solve.
-  state.set_bounds(1, 0.0, 4.0);
-  const auto cut = state.solve(-34.0);
-  ASSERT_EQ(cut.status, SolveStatus::kCutoff);
-  EXPECT_GE(cut.objective, -34.0 - 1e-5);
-
-  // kCutoff leaves the state mid-repair; a later un-cutoff solve must
-  // still recover the true optimum.
-  const auto full = state.solve();
-  ASSERT_EQ(full.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(full.objective, -30.0, 1e-6);
-}
-
-TEST(SimplexDual, FreeVariableWithCostFallsBackToPhaseOne) {
-  // A free variable with nonzero cost makes the crash basis dual
-  // infeasible (no finite bound to flip to), so the dual re-entry must
-  // punt to phase 1 and still solve the LP.
+TEST(SimplexReentry, FreeCostedColumnSolves) {
+  // A free variable with nonzero cost has no finite bound to rest on;
+  // the crash basis violates f >= 3 and phase 1 must still repair it.
   LinearProgram lp;
   const int f = lp.add_variable("f", -kInf, kInf, 1.0, false);
   lp.add_constraint(make({{f, 1.0}}, Relation::kGe, 3.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   const auto sol = state.solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 3.0, 1e-6);
-  EXPECT_FALSE(sol.dual_reentry);
-  EXPECT_GE(state.telemetry().phase1_fallbacks, 1u);
-  EXPECT_EQ(state.telemetry().dual_reentries, 0u);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
 }
 
-TEST(SimplexDual, WrongBoundBoxedNonbasicIsRepairedByFlip) {
-  // Bound edits can park a boxed nonbasic at the bound whose reduced-
-  // cost sign is wrong for dual feasibility. That must be repaired by a
-  // bound flip inside the dual entry check, not punted to phase 1 —
-  // this is the branch-and-bound child-solve common case.
+TEST(SimplexReentry, BoxedColumnOnWrongBoundSolves) {
+  // Bound edits can park a boxed nonbasic at the bound its reduced
+  // cost does not prefer — the branch-and-bound child-solve common
+  // case. The warm re-solve must still reach the edited optimum.
   LinearProgram lp;
   const int x = lp.add_variable("x", 0.0, 5.0, -1.0, false);
   const int y = lp.add_variable("y", 0.0, 5.0, -2.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kLe, 6.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
+  // Both columns crash-start at their upper bound 5, past the row.
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
 
-  // Fix x near its upper bound and shrink y: whichever variable ends up
-  // nonbasic-at-the-wrong-bound, the re-solve must stay on the dual
-  // path with zero fallbacks.
+  // y rests nonbasic at its upper bound; snapping it onto the shrunk
+  // box re-derives the basic x as 5, inside [4, 5]. The warm basis is
+  // then primal feasible and phase 2 alone finishes: no re-entry.
   state.set_bounds(x, 4.0, 5.0);
   state.set_bounds(y, 0.0, 1.0);
   const auto sol = state.solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_EQ(state.telemetry().phase1_fallbacks, 0u);
   EXPECT_NEAR(sol.objective, -7.0, 1e-6);  // x=5, y=1
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,23 +372,19 @@ TEST(Simplex, ViolationsEachWithinToleranceDoNotReadAsInfeasible) {
   // the sum stays under the tolerance and the LP always solved.
   for (BasisEngineKind engine :
        {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
-    for (ReentryKind reentry : {ReentryKind::kPhase1, ReentryKind::kDual}) {
-      for (int n : {2, 3, 5}) {
-        LinearProgram lp;
-        for (int i = 0; i < n; ++i) {
-          const int x = lp.add_variable("x" + std::to_string(i), 0.0,
-                                        1.0 + 5e-8, -1.0, false);
-          lp.add_constraint(make({{x, 1.0}}, Relation::kLe, 1.0));
-        }
-        SimplexOptions opts;
-        opts.engine = engine;
-        opts.reentry = reentry;
-        const auto sol = SimplexSolver().solve(lp, opts);
-        ASSERT_EQ(sol.status, SolveStatus::kOptimal)
-            << engine_name(engine) << " " << reentry_name(reentry)
-            << " n=" << n;
-        EXPECT_NEAR(sol.objective, -static_cast<double>(n), 1e-6);
+    for (int n : {2, 3, 5}) {
+      LinearProgram lp;
+      for (int i = 0; i < n; ++i) {
+        const int x = lp.add_variable("x" + std::to_string(i), 0.0,
+                                      1.0 + 5e-8, -1.0, false);
+        lp.add_constraint(make({{x, 1.0}}, Relation::kLe, 1.0));
       }
+      SimplexOptions opts;
+      opts.engine = engine;
+      const auto sol = SimplexSolver().solve(lp, opts);
+      ASSERT_EQ(sol.status, SolveStatus::kOptimal)
+          << engine_name(engine) << " n=" << n;
+      EXPECT_NEAR(sol.objective, -static_cast<double>(n), 1e-6);
     }
   }
 }
